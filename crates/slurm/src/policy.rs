@@ -187,10 +187,9 @@ impl ResizePolicy for Algorithm1 {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
-        let pending = slurm.pending_queue(now);
 
         if let Some(pref) = env.preferred {
-            if pending.is_empty() && slurm.running_count() == 1 {
+            if slurm.pending_queue_len() == 0 && slurm.running_count() == 1 {
                 // Line 2-4: alone in the system — expand to the job max.
                 match env.max_procs_to(current, env.max, free) {
                     Some(t) => ResizeAction::Expand { to: t },
@@ -204,7 +203,7 @@ impl ResizePolicy for Algorithm1 {
                 // Line 6-8: try to expand towards the preference.
                 match env.max_procs_to(current, pref, free) {
                     Some(t) => ResizeAction::Expand { to: t },
-                    None => wide_optimization(slurm, current, free, &pending, env),
+                    None => wide_optimization(slurm, current, free, env, now),
                 }
             } else if env.can_shrink_to(current, pref) {
                 // Line 10-12: shrink exactly to the preference.
@@ -213,10 +212,10 @@ impl ResizePolicy for Algorithm1 {
                     beneficiary: None,
                 }
             } else {
-                wide_optimization(slurm, current, free, &pending, env)
+                wide_optimization(slurm, current, free, env, now)
             }
         } else {
-            wide_optimization(slurm, current, free, &pending, env)
+            wide_optimization(slurm, current, free, env, now)
         }
     }
 }
@@ -227,13 +226,13 @@ fn wide_optimization(
     slurm: &Slurm,
     current: u32,
     free: u32,
-    pending: &[JobId],
     env: ResizeEnvelope,
+    now: SimTime,
 ) -> ResizeAction {
-    if !pending.is_empty() {
-        // Line 15: can another job run with my resources? Walk the
-        // queue in priority order, find the first job a feasible
-        // shrink would admit, and shrink as little as necessary
+    if slurm.pending_queue_len() > 0 {
+        // Line 15: can another job run with my resources? Find, in
+        // priority order, the first queued job a feasible shrink
+        // would admit, and shrink as little as necessary
         // (keeping the most processes that still releases enough).
         // Jobs that already fit in the free nodes start on their own
         // at the next scheduling cycle and are skipped here; greedily
@@ -242,7 +241,7 @@ fn wide_optimization(
         // and idling them would be worse (this mirrors the paper's
         // observation that the RMS, not the policy, owns final
         // placement).
-        if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, pending, env) {
+        if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env, now) {
             return shrink;
         }
         // Line 19-21: nothing queued can be helped — expand so this
@@ -262,31 +261,32 @@ fn wide_optimization(
 
 /// The minimal shrink admitting the first queued job that is blocked on
 /// nodes, if any (Algorithm 1 lines 15–18 without the expand fallback).
+///
+/// The shrink chain is descending, so a job missing `m` nodes is
+/// admitted by some step iff `m` is at most what the deepest step
+/// releases. The first such job in priority order is therefore the
+/// first queued job whose request lies in `free+1 ..= free+max_release`
+/// ([`Slurm::first_pending_sized`]); it gets the shallowest step that
+/// covers it.
 fn shrink_for_first_blocked(
     slurm: &Slurm,
     current: u32,
     free: u32,
-    pending: &[JobId],
     env: ResizeEnvelope,
+    now: SimTime,
 ) -> Option<ResizeAction> {
-    for &cand in pending {
-        let req = slurm.job(cand).map(|j| j.requested_nodes).unwrap_or(0);
-        let missing = req.saturating_sub(free);
-        if missing == 0 {
-            continue;
-        }
-        if let Some(to) = env
-            .shrink_chain(current)
-            .into_iter()
-            .find(|to| current - to >= missing)
-        {
-            return Some(ResizeAction::Shrink {
-                to,
-                beneficiary: Some(cand),
-            });
-        }
+    let chain = env.shrink_chain(current);
+    let max_release = chain.last().map_or(0, |&to| current - to);
+    if max_release == 0 {
+        return None;
     }
-    None
+    let cand = slurm.first_pending_sized(free + 1, free.saturating_add(max_release), now)?;
+    let missing = slurm.job(cand)?.requested_nodes - free;
+    let to = chain.into_iter().find(|to| current - to >= missing)?;
+    Some(ResizeAction::Shrink {
+        to,
+        beneficiary: Some(cand),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -331,8 +331,7 @@ impl ResizePolicy for UtilizationTarget {
             };
         }
         if util > self.high {
-            let pending = slurm.pending_queue(now);
-            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, &pending, env) {
+            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, env, now) {
                 return shrink;
             }
         }
@@ -374,13 +373,10 @@ impl ResizePolicy for EnergyAware {
         let env = envelope_of(slurm, job);
         let current = slurm.nodes_of(job);
         let free = slurm.cluster().free_nodes();
-        let pending = slurm.pending_queue(now);
 
-        if !pending.is_empty() {
-            if let Some(shrink) = shrink_for_first_blocked(slurm, current, free, &pending, env) {
-                return shrink;
-            }
-            return ResizeAction::NoAction;
+        if slurm.pending_queue_len() > 0 {
+            return shrink_for_first_blocked(slurm, current, free, env, now)
+                .unwrap_or(ResizeAction::NoAction);
         }
         if let Some(pref) = env.preferred {
             if pref > current {
@@ -408,8 +404,8 @@ impl ResizePolicy for EnergyAware {
         }
     }
 
-    fn idle_power_down(&self, slurm: &Slurm, now: SimTime) -> u32 {
-        if !slurm.pending_queue(now).is_empty() {
+    fn idle_power_down(&self, slurm: &Slurm, _now: SimTime) -> u32 {
+        if slurm.pending_queue_len() > 0 {
             return 0;
         }
         slurm.cluster().free_nodes().saturating_sub(self.reserve)
@@ -476,8 +472,10 @@ impl ResizePolicy for FairShare {
         // The oldest starved job blocked on nodes is the beneficiary; the
         // shrink depth covers the cumulative starved demand if the factor
         // chain allows it.
-        let demand: u32 = starved.iter().map(|(_, _, req)| req).sum();
-        let cumulative_missing = demand.saturating_sub(free);
+        // Summed in u64: at large node counts a deep starved queue
+        // demands more than u32::MAX nodes in total.
+        let demand: u64 = starved.iter().map(|&&(_, _, req)| u64::from(req)).sum();
+        let cumulative_missing = demand.saturating_sub(u64::from(free));
         let beneficiary = starved
             .iter()
             .find(|(_, _, req)| req.saturating_sub(free) > 0);
@@ -496,7 +494,7 @@ impl ResizePolicy for FairShare {
             .filter(|to| current - to >= first_missing)
             .min_by_key(|to| {
                 let released = current - to;
-                if released >= cumulative_missing {
+                if u64::from(released) >= cumulative_missing {
                     // Covers everything: prefer the *largest* remaining
                     // size among full-coverage steps.
                     (0u32, u32::MAX - to)
@@ -890,6 +888,28 @@ mod tests {
             s.decide_resize(a, t(300)),
             ResizeAction::Shrink {
                 to: 4,
+                beneficiary: Some(q1)
+            }
+        );
+    }
+
+    #[test]
+    fn fair_share_starved_demand_past_u32_does_not_wrap() {
+        let mut s = slurm_with_policy(18, PolicyKind::fair_share());
+        let a = s.submit(JobRequest::flexible("a", 16, env(1, 16, None)), t(0));
+        s.schedule(t(0));
+        let q1 = s.submit(JobRequest::rigid("q1", 6), t(1));
+        // Wider than any machine: with q1, the starved demand is
+        // 2^32 + 2 nodes, which a u32 sum wraps to 2.
+        let _wide = s.submit(JobRequest::rigid("wide", u32::MAX - 3), t(2));
+        s.schedule(t(2));
+        // 2 free. A wrapped demand of 2 would make every step "full
+        // coverage" and pick the shallowest (to=8); the true demand is
+        // never covered, so the deepest step wins.
+        assert_eq!(
+            s.decide_resize(a, t(300)),
+            ResizeAction::Shrink {
+                to: 1,
                 beneficiary: Some(q1)
             }
         );

@@ -475,6 +475,7 @@ impl Slurm {
         cluster.use_scan_selection(config.sched_index == SchedIndex::ScanReference);
         let nclasses = cluster.table().num_classes();
         let per_class = if nclasses > 1 { nclasses } else { 0 };
+        let pending_index = PendingIndex::new(cluster.total_nodes());
         Slurm {
             cluster,
             jobs: JobArena::new(),
@@ -482,7 +483,7 @@ impl Slurm {
             policy: Some(config.policy.build()),
             config,
             queue_cache: RefCell::new(None),
-            pending_index: PendingIndex::default(),
+            pending_index,
             running_index: RunningIndex::default(),
             resizer_index: ResizerIndex::default(),
             timeline: RefCell::new(Timeline::new()),
@@ -724,9 +725,8 @@ impl Slurm {
         if let Some(j) = self.jobs.get_mut(id) {
             let reindex = j.state == JobState::Pending && !j.boosted;
             j.boosted = true;
-            let (submit, seq, jid) = (j.submit_time, j.seq, j.id);
             if reindex {
-                self.pending_index.reboost(submit, seq, jid);
+                self.pending_index.reboost(j);
             }
             self.invalidate_queue_cache();
             // A reorder invalidates both watermark memos (the blocked
@@ -1160,6 +1160,28 @@ impl Slurm {
                 .then(a.seq.cmp(&b.seq))
         });
         pend.into_iter().map(|(j, _)| j.id).collect()
+    }
+
+    /// `pending_queue(now).len()` in O(1), for any `now`: the number of
+    /// pending non-resizer jobs. Policies that only ask "is anyone
+    /// queued?" use this instead of materialising the order.
+    pub fn pending_queue_len(&self) -> usize {
+        self.pending_index.non_resizers()
+    }
+
+    /// The first job of [`Slurm::pending_queue`] whose request lies in
+    /// `lo..=hi` — the resize policies' "which queued job could my nodes
+    /// admit?" query. While the index order is exact it is a range-min
+    /// over the pending index's size buckets (O(log nodes)); otherwise
+    /// it walks the priority-ordered queue.
+    pub fn first_pending_sized(&self, lo: u32, hi: u32, now: SimTime) -> Option<JobId> {
+        if self.index_is_exact() {
+            return self.pending_index.first_sized(lo, hi);
+        }
+        self.pending_queue(now)
+            .iter()
+            .copied()
+            .find(|&id| (lo..=hi).contains(&self.jobs[id].requested_nodes))
     }
 
     /// Pending jobs in scheduling order, excluding resizer jobs (exposed
@@ -2248,6 +2270,10 @@ impl Slurm {
                 self.pending_index.pending_resizers()
             ));
         }
+        self.pending_index.check_sizes(|id| {
+            let job = &self.jobs[id];
+            (!job.is_resizer()).then_some(job.requested_nodes)
+        })?;
         let constrained = pending
             .iter()
             .filter(|&&id| self.jobs[id].constraint != ClassConstraint::Any)
