@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 
 use dmr_bench::hotpath;
-use dmr_cluster::Cluster;
+use dmr_cluster::{ClassConstraint, Cluster};
 use dmr_sim::{SimTime, Span};
 use dmr_slurm::{Job, JobArena, JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 
@@ -125,6 +125,7 @@ fn record(id: JobId, seq: u64) -> Job {
         base_priority: 0,
         boosted: false,
         resize: None,
+        constraint: ClassConstraint::Any,
         submit_time: SimTime::from_secs(seq),
         start_time: None,
         end_time: None,

@@ -18,8 +18,10 @@
 //! in the slot count `s`:
 //!
 //! * [`SlotSet::plan`] / [`SlotSet::unplan`] — add / remove `nodes` over
-//!   `[from, until)`: split at most two slots, lazy-add over the covered
-//!   range, and re-merge boundaries that became redundant — O(log s);
+//!   `[from, until)`: one split of the tree at `from` and `until`, at
+//!   most two new boundaries, one lazy add on the covered middle, and one
+//!   re-merge — O(log s). `unplan` also drops boundaries the revert made
+//!   redundant;
 //! * [`SlotSet::earliest_hole`] — first instant `t ≥ from` with
 //!   `occ ≤ cap` throughout `[t, t + dur)`: descend on the min-occupancy
 //!   aggregate to candidate slots and on the max aggregate to the
@@ -485,21 +487,6 @@ impl SlotSet {
         }
     }
 
-    /// Ensures a boundary exists exactly at `t` (carrying the value the
-    /// step function already has there).
-    fn ensure_boundary(&mut self, t: SimTime) {
-        let (a, bc) = self.split(self.root, t);
-        let (b, c) = self.split(bc, SimTime(t.0.saturating_add(1)));
-        let b = if b == NIL {
-            let carried = self.last_value(a, 0).map_or(0, |(_, v)| v);
-            self.alloc(t, carried)
-        } else {
-            b
-        };
-        let ab = self.merge(a, b);
-        self.root = self.merge(ab, c);
-    }
-
     fn remove_boundary(&mut self, t: SimTime) {
         let (a, bc) = self.split(self.root, t);
         let (b, c) = self.split(bc, SimTime(t.0.saturating_add(1)));
@@ -536,16 +523,30 @@ impl SlotSet {
         false
     }
 
-    fn range_apply(&mut self, from: SimTime, until: SimTime, delta: i64) {
-        let (a, bc) = self.split(self.root, from);
-        let (b, c) = self.split(bc, until);
-        if b != NIL {
-            let s = &mut self.slots[b as usize];
-            s.add += delta;
-            debug_assert!(s.min + s.add >= 0, "negative planned occupancy");
+    /// Adds `delta` over `[from, until)` (`horizon <= from < until`) with
+    /// one split of the tree into `(< from, [from, until), >= until)`:
+    /// each missing boundary is allocated next to its neighbour — `from`
+    /// carrying the last value of the left part, then `until` carrying
+    /// the last value of the middle — and the delta lands as one lazy
+    /// tag on the middle root.
+    fn range_add(&mut self, from: SimTime, until: SimTime, delta: i64) {
+        let (left, rest) = self.split(self.root, from);
+        let (mut mid, mut right) = self.split(rest, until);
+        if self.first_time(mid) != Some(from) {
+            let carried = self.last_value(left, 0).map_or(0, |(_, v)| v);
+            let n = self.alloc(from, carried);
+            mid = self.merge(n, mid);
         }
-        let ab = self.merge(a, b);
-        self.root = self.merge(ab, c);
+        if self.first_time(right) != Some(until) {
+            let carried = self.last_value(mid, 0).map_or(0, |(_, v)| v);
+            let n = self.alloc(until, carried);
+            right = self.merge(n, right);
+        }
+        let s = &mut self.slots[mid as usize];
+        s.add += delta;
+        debug_assert!(s.min + s.add >= 0, "negative planned occupancy");
+        let lm = self.merge(left, mid);
+        self.root = self.merge(lm, right);
     }
 
     /// Commits `nodes` over `[from, until)` (clamped to the horizon).
@@ -554,9 +555,7 @@ impl SlotSet {
         if until <= from || nodes == 0 {
             return;
         }
-        self.ensure_boundary(from);
-        self.ensure_boundary(until);
-        self.range_apply(from, until, i64::from(nodes));
+        self.range_add(from, until, i64::from(nodes));
     }
 
     /// [`SlotSet::plan`] plus a journal entry: the interval is recorded
@@ -615,9 +614,7 @@ impl SlotSet {
         if until <= from || nodes == 0 {
             return;
         }
-        self.ensure_boundary(from);
-        self.ensure_boundary(until);
-        self.range_apply(from, until, -i64::from(nodes));
+        self.range_add(from, until, -i64::from(nodes));
         self.coalesce(until);
         self.coalesce(from);
     }
@@ -929,6 +926,41 @@ mod tests {
         assert_eq!(tl.earliest_hole(t(150), 6, Span::ZERO), Some(t(150)));
     }
 
+    /// A plan interval for the randomized test, drawn to hit the edge
+    /// cases of the one-split plan as often as the generic case: `from`
+    /// and `until` on existing boundaries, `from` on the horizon, `until`
+    /// past the last boundary, and a plan sharing an endpoint with the
+    /// previous one (back to back on either side).
+    fn edge_interval(rng: &mut Lcg, tl: &SlotSet, live: &[(u64, u64, u32)]) -> (u64, u64) {
+        let bounds: Vec<u64> = tl.slots().iter().map(|&(b, _)| b.0).collect();
+        let horizon = tl.horizon().0;
+        let last = *bounds.last().unwrap();
+        let on_boundary = |rng: &mut Lcg| bounds[(rng.next() as usize) % bounds.len()];
+        let (from, until) = match rng.next() % 7 {
+            0 => (on_boundary(rng), on_boundary(rng)),
+            1 => (on_boundary(rng), last + 1 + rng.next() % 300),
+            2 => (horizon, on_boundary(rng)),
+            3 => (horizon, horizon + 1 + rng.next() % 400),
+            4 => match live.last() {
+                Some(&(_, u, _)) => (u, u + 1 + rng.next() % 400),
+                None => (horizon, last + 1),
+            },
+            5 => match live.last() {
+                Some(&(f, _, _)) => (f.saturating_sub(1 + rng.next() % 400), f),
+                None => (horizon, last + 1),
+            },
+            _ => {
+                let from = horizon + rng.next() % 1000;
+                (from, from + 1 + rng.next() % 400)
+            }
+        };
+        if until > from.max(horizon) {
+            (from, until)
+        } else {
+            (from, from.max(horizon) + 1 + rng.next() % 400)
+        }
+    }
+
     #[test]
     fn randomized_ops_match_the_brute_force_model() {
         let mut rng = Lcg(0x5eed_d312);
@@ -939,8 +971,7 @@ mod tests {
             for _ in 0..120 {
                 match rng.next() % 5 {
                     0 | 1 => {
-                        let from = rng.next() % 1000;
-                        let until = from + 1 + rng.next() % 400;
+                        let (from, until) = edge_interval(&mut rng, &tl, &live);
                         let nodes = (rng.next() % 16) as u32 + 1;
                         tl.plan(SimTime(from), SimTime(until), nodes);
                         model.apply(from, until, i64::from(nodes));
@@ -977,6 +1008,14 @@ mod tests {
                     }
                 }
                 tl.validate().unwrap();
+                let boundaries = tl.slots().into_iter().map(|(b, _)| b.0);
+                for at in boundaries.chain(model.steps.keys().copied()) {
+                    assert_eq!(
+                        tl.occupied_at(SimTime(at)),
+                        model.occ(at),
+                        "occ diverged at boundary {at} (round {round})"
+                    );
+                }
                 for probe in 0..8 {
                     let at = model.horizon + probe * 173;
                     assert_eq!(

@@ -400,10 +400,15 @@ impl PassOrder {
 /// [`Slurm::conservative_plan`].
 #[derive(Debug)]
 struct BfMemo {
-    /// Instant of the memoized pass. Refusals are monotone in time (the
-    /// running-jobs occupancy profile only falls as `now` advances), so
-    /// the memo holds at every `now >= at` until a mutation clears it.
-    at: SimTime,
+    /// First instant the memo no longer covers. The memoized pass ran at
+    /// some instant `at` and the scheduler clock never runs backwards, so
+    /// a repeat pass at any `now < until` lies in `[at, until)` and is
+    /// elided. Refusals of
+    /// jobs that do not fit are monotone in time (free nodes only change
+    /// at mutations), so a memo without a fitting refusal never expires:
+    /// `until` is `SimTime(u64::MAX)`. For the other memos see
+    /// [`BfMemo::fitting_refused`].
+    until: SimTime,
     /// Smallest `requested_nodes` among the jobs the pass refused for
     /// lack of free nodes (`u32::MAX` when nothing was). A
     /// capacity-increasing event invalidates the memo only when the new
@@ -411,12 +416,20 @@ struct BfMemo {
     /// provably repeats (a start requires `free >= requested`).
     watermark: u32,
     /// Whether the pass refused a *fitting* job (EASY harmless check /
-    /// conservative hole not at `now`). Those refusals are **not**
-    /// monotone in time — planned occupancy decays as running jobs
-    /// overrun their estimates, so a hole can open with no mutation at
-    /// all — and they depend on the running set. A memo carrying one is
-    /// only reused at the exact memoized instant and dies at any
-    /// capacity-increasing event.
+    /// conservative hole not at `now`). Those refusals depend on the
+    /// running set, so a memo carrying one dies at any
+    /// capacity-increasing event, and on time, so it expires:
+    ///
+    /// * EASY: `until = at + 1` — reused only at the memoized instant.
+    /// * Conservative: `until = max(min planned start, at + 1)`. With no
+    ///   mutation the timeline on `[now, ∞)` does not change as `now`
+    ///   advances (a running job occupies `[horizon, expected end)`, and
+    ///   one past its estimate occupies nothing after `now` either way),
+    ///   so every hole the pass found at `s >= now` is found again from
+    ///   `now`: while `now` is before every planned start, each job gets
+    ///   the same plan and the same refusal. A plan starting at `at`
+    ///   itself (a hole that a non-fitting job cannot take) pins the
+    ///   memo to the memoized instant.
     fitting_refused: bool,
     /// Config snapshot: the memo holds only while the pass would run the
     /// same algorithm with the same knobs.
@@ -1467,8 +1480,10 @@ impl Slurm {
     ///   single-reservation walk, kept as the equivalence oracle.
     ///
     /// Under [`SchedIncremental::On`] a pass whose memo is still valid —
-    /// same family and knobs, a later-or-equal instant (refusals are
-    /// monotone in time), no invalidating mutation since, and a provably
+    /// same family and knobs, an instant before the memo's expiry (never
+    /// for refusals of jobs that do not fit; the memoized instant only
+    /// for EASY refusals of fitting jobs; the earliest planned start for
+    /// conservative ones), no invalidating mutation since, and a provably
     /// no-op reap — is elided in O(1): it would start nothing and leave
     /// no observable state, bit-for-bit like running it. The legacy
     /// oracle never creates memos, so it never elides.
@@ -1477,11 +1492,8 @@ impl Slurm {
             && self.index_is_exact()
             && !self.resizer_index.has_dead_candidates()
             && self.incr.bf_memo.as_ref().is_some_and(|m| {
-                (if m.fitting_refused {
-                    m.at == now
-                } else {
-                    m.at <= now
-                }) && m.family == self.config.backfill_family
+                now < m.until
+                    && m.family == self.config.backfill_family
                     && m.backfill_on == self.config.backfill
                     && m.window == self.config.bf_max_job_test
             })
@@ -1790,8 +1802,18 @@ impl Slurm {
         if !(self.incr_on() && self.index_is_exact() && fruitless) {
             return;
         }
+        let next_instant = now + Span(1);
+        let until = match (fitting_refused, self.config.backfill_family) {
+            (false, _) => SimTime(u64::MAX),
+            (true, BackfillFamily::Conservative) => conservative_plan
+                .iter()
+                .map(|&(_, start)| start)
+                .min()
+                .map_or(SimTime(u64::MAX), |first| first.max(next_instant)),
+            (true, _) => next_instant,
+        };
         self.incr.bf_memo = Some(BfMemo {
-            at: now,
+            until,
             watermark,
             fitting_refused,
             family: self.config.backfill_family,
@@ -3204,6 +3226,79 @@ mod tests {
         // A fitting submission invalidates the memo outright.
         s.submit(JobRequest::rigid("fits", 2), t(5));
         assert!(s.conservative_plan().is_none());
+    }
+
+    /// A fruitless conservative pass that refused a fitting job stays
+    /// valid over the quiet ticks before its earliest planned start, and
+    /// expires exactly there.
+    ///
+    /// 10 nodes: `a` (4 nodes, expected end 1000) and `b` (4 nodes,
+    /// expected end 1050) run and neither ever completes, so both overrun.
+    /// `head` (6 nodes) cannot fit in the 2 free nodes and is planned at
+    /// 1000, where the timeline frees `a`'s nodes. `tail` (2 nodes) fits
+    /// now, but its window crosses `head`'s plan while `b` still runs
+    /// (occupancy 10 > cap 8), so its earliest hole is 1050. The first
+    /// tick at or after 1000 must run; `tail` starts at 1050 with no
+    /// mutation at all, once `b`'s estimate has passed too. (A refused
+    /// fitting job's hole always lies strictly after the earliest planned
+    /// start, since its blocker is a plan.)
+    #[test]
+    fn conservative_memo_expires_at_the_earliest_planned_start() {
+        let mk = |incremental: SchedIncremental| {
+            let mut s = slurm(10);
+            s.config.backfill_family = BackfillFamily::Conservative;
+            s.config.sched_incremental = incremental;
+            for (name, end) in [("a", 1000), ("b", 1050)] {
+                s.submit(
+                    JobRequest::rigid(name, 4).with_expected_runtime(Span::from_secs(end)),
+                    t(0),
+                );
+            }
+            assert_eq!(s.schedule(t(0)).len(), 2);
+            let head = s.submit(
+                JobRequest::rigid("head", 6).with_expected_runtime(Span::from_secs(100)),
+                t(1),
+            );
+            let tail = s.submit(
+                JobRequest::rigid("tail", 2).with_expected_runtime(Span::from_secs(5000)),
+                t(2),
+            );
+            (s, head, tail)
+        };
+        let (mut on, head, tail) = mk(SchedIncremental::On);
+        let (mut off, _, _) = mk(SchedIncremental::Off);
+        let tick = |on: &mut Slurm, off: &mut Slurm, now: SimTime| {
+            let before = on.incremental_stats();
+            let started = on.backfill_pass(now);
+            assert_eq!(started, off.backfill_pass(now), "twins diverged at {now:?}");
+            let after = on.incremental_stats();
+            on.check_invariants().unwrap();
+            let elided = after.backfill_passes_elided > before.backfill_passes_elided;
+            (started, elided)
+        };
+        let (started, elided) = tick(&mut on, &mut off, t(10));
+        assert!(started.is_empty() && !elided);
+        assert_eq!(
+            on.conservative_plan().unwrap(),
+            &[(head, t(1000)), (tail, t(1050))]
+        );
+        // Quiet ticks before the earliest planned start: elided.
+        for now in [t(500), SimTime(t(1000).0 - 1)] {
+            let (started, elided) = tick(&mut on, &mut off, now);
+            assert!(started.is_empty(), "nothing starts at {now:?}");
+            assert!(elided, "tick at {now:?} must reuse the memo");
+        }
+        // The earliest planned start itself is past the memo.
+        let (started, elided) = tick(&mut on, &mut off, t(1000));
+        assert!(started.is_empty() && !elided, "tick at 1000 must run");
+        // `head`'s hole is now the clock: the new memo lasts one instant.
+        let (started, elided) = tick(&mut on, &mut off, SimTime(t(1050).0 - 1));
+        assert!(started.is_empty() && !elided);
+        let (started, elided) = tick(&mut on, &mut off, t(1050));
+        assert!(!elided, "tick at 1050 must run");
+        assert_eq!(started.iter().map(|j| j.id).collect::<Vec<_>>(), vec![tail]);
+        assert_eq!(on.job(head).unwrap().state, JobState::Pending);
+        assert_eq!(off.incremental_stats().backfill_passes_elided, 0);
     }
 
     /// Same-instant duplicate reap scans are skipped under incremental

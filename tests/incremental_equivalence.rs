@@ -13,7 +13,7 @@
 //! live watermark lowers it). `SchedIncremental::Off` keeps the
 //! re-derive-everything behaviour as the oracle.
 //!
-//! Two properties pin the contract:
+//! Three properties pin the contract:
 //!
 //! 1. **Full-experiment equivalence** — every workload family × resize
 //!    policy × backfill family × hot path, run with incremental
@@ -24,14 +24,19 @@
 //!    and whenever the incremental twin elides a pass, the baseline twin
 //!    (identical state, pass actually executed) must have started
 //!    nothing — an elided pass *is* the pass it elided.
+//! 3. **Quiet stretches** — the shadow check again, on a three-class
+//!    machine with class-constrained jobs, over runs of backfill ticks
+//!    with no mutation between them. A conservative memo that refused a
+//!    fitting job outlives such ticks until its earliest planned start,
+//!    so the ticks land on the instants where that validity ends.
 
 use dmr::core::{
-    run_experiment_streaming, BackfillFamily, ExperimentConfig, ExperimentResult, PolicyKind,
-    WorkloadKind,
+    run_experiment_streaming, BackfillFamily, ExperimentConfig, ExperimentResult, MachineMix,
+    PolicyKind, WorkloadKind,
 };
 use dmr::sim::{SimTime, Span};
 use dmr::slurm::{JobRequest, JobState, SchedIncremental, Slurm, SlurmConfig};
-use dmr_cluster::Cluster;
+use dmr_cluster::{ClassConstraint, Cluster};
 use proptest::prelude::*;
 
 fn kind_for(kind: u8) -> WorkloadKind {
@@ -298,4 +303,224 @@ proptest! {
         prop_assert_eq!(stats.sched_passes_elided, 0, "Off must never elide");
         prop_assert_eq!(stats.backfill_passes_elided, 0, "Off must never elide");
     }
+}
+
+/// What one [`quiet_stretch_run`] saw: quiet ticks the incremental twin
+/// elided, and quiet ticks that landed exactly on the live conservative
+/// memo's earliest planned start.
+#[derive(Default)]
+struct QuietTicks {
+    elided: u64,
+    on_planned_start: u64,
+}
+
+/// The shadow check over quiet stretches. Twin schedulers (incremental
+/// on vs off) on a three-class machine, the `deep-mixed` inventory
+/// shape, take class-constrained and unconstrained jobs. Each round
+/// applies one random mutation and a scheduling + backfill pass, then a
+/// quiet stretch of 2–6 backfill ticks at increasing instants with no
+/// mutation between them. Running jobs are completed only by the random
+/// mutation, so many overrun their estimates, which is what moves the
+/// timeline's holes as the clock advances. Tick instants are drawn to
+/// land on the edges where a memo's validity changes: the earliest start
+/// of the retained conservative plan and the microsecond before it, the
+/// microsecond after the last pass, and the expected end of a running
+/// job and the microsecond before it.
+fn quiet_stretch_run(seed: u64, nodes: u32, family: BackfillFamily) -> Result<QuietTicks, String> {
+    let table = MachineMix::Hetero3.table(nodes, 16);
+    let mk = |incremental: SchedIncremental| {
+        let mut cfg = SlurmConfig::for_cluster(nodes);
+        cfg.backfill_family = family;
+        cfg.sched_incremental = incremental;
+        Slurm::new(Cluster::with_classes(table.clone()), cfg)
+    };
+    let mut on = mk(SchedIncremental::On);
+    let mut off = mk(SchedIncremental::Off);
+    let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    let mut step = || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut live: Vec<dmr::slurm::JobId> = Vec::new();
+    let mut seen = QuietTicks::default();
+    let mut clock = SimTime::ZERO;
+    for round in 0..60u64 {
+        clock += Span::from_secs(1 + step() % 60);
+        match step() % 7 {
+            0..=3 => {
+                let need = 1 + (step() % u64::from(nodes * 3 / 4)) as u32;
+                let dur = Span::from_secs(60 + step() % 8000);
+                let constraint = match step() % 6 {
+                    0..=3 => ClassConstraint::Any,
+                    4 => ClassConstraint::Class((step() % 3) as usize),
+                    _ => ClassConstraint::GpuRequired,
+                };
+                let req = || {
+                    JobRequest::rigid(format!("j{round}"), need)
+                        .with_expected_runtime(dur)
+                        .with_constraint(constraint)
+                };
+                let a = on.submit(req(), clock);
+                let b = off.submit(req(), clock);
+                prop_assert_eq!(a, b, "ids diverged at submit");
+                live.push(a);
+            }
+            4 if !live.is_empty() => {
+                // Mostly the job whose estimate ran out first, as a
+                // replay completes them; sometimes any live job.
+                let overdue = on
+                    .jobs()
+                    .filter(|j| j.state == JobState::Running)
+                    .filter_map(|j| Some((j.expected_end()?, j.id)))
+                    .filter(|&(e, _)| e <= clock)
+                    .min();
+                let at = match overdue {
+                    Some((_, id)) if step() % 4 != 0 => live.iter().position(|&l| l == id),
+                    _ => None,
+                };
+                let id = live.remove(at.unwrap_or((step() % live.len() as u64) as usize));
+                match on.job(id).map(|j| j.state) {
+                    Some(JobState::Running) => {
+                        on.complete(id, clock);
+                        off.complete(id, clock);
+                    }
+                    Some(JobState::Pending) => {
+                        on.cancel(id, clock);
+                        off.cancel(id, clock);
+                    }
+                    _ => {}
+                }
+            }
+            5 if !live.is_empty() => {
+                let id = live[(step() % live.len() as u64) as usize];
+                if on.job(id).is_some_and(|j| j.state == JobState::Running) {
+                    let est = Span::from_secs(30 + step() % 900);
+                    on.set_expected_runtime(id, est);
+                    off.set_expected_runtime(id, est);
+                }
+            }
+            _ => {}
+        }
+        let a = on.schedule(clock);
+        prop_assert_eq!(
+            &a,
+            &off.schedule(clock),
+            "schedule diverged at round {}",
+            round
+        );
+        let a = on.backfill_pass(clock);
+        prop_assert_eq!(
+            &a,
+            &off.backfill_pass(clock),
+            "backfill diverged at round {}",
+            round
+        );
+
+        // A tick on the microsecond before a running job's expected end
+        // is followed by one on the end itself.
+        let mut edge: Option<SimTime> = None;
+        for _ in 0..2 + step() % 5 {
+            let planned_start = on
+                .conservative_plan()
+                .and_then(|plan| plan.iter().map(|&(_, s)| s).min())
+                .filter(|&s| s > clock);
+            let running_end = on
+                .jobs()
+                .filter(|j| j.state == JobState::Running)
+                .filter_map(|j| j.expected_end())
+                .filter(|&e| e > clock)
+                .min();
+            let next = match (edge.take(), step() % 7, planned_start, running_end) {
+                (Some(e), ..) => e,
+                (None, 0 | 1, Some(s), _) => s,
+                (None, 2, Some(s), _) if s.0 - 1 > clock.0 => SimTime(s.0 - 1),
+                (None, 3, _, _) => clock + Span(1),
+                (None, 4 | 5, _, Some(e)) if e.0 - 1 > clock.0 => {
+                    edge = Some(e);
+                    SimTime(e.0 - 1)
+                }
+                _ => clock + Span::from_secs(1 + step() % 60),
+            };
+            if planned_start == Some(next) {
+                seen.on_planned_start += 1;
+            }
+            clock = next;
+            let before = on.incremental_stats().backfill_passes_elided;
+            let a = on.backfill_pass(clock);
+            let b = off.backfill_pass(clock);
+            prop_assert_eq!(
+                &a,
+                &b,
+                "quiet tick at {:?} diverged (round {})",
+                clock,
+                round
+            );
+            if on.incremental_stats().backfill_passes_elided > before {
+                seen.elided += 1;
+                prop_assert!(
+                    b.is_empty(),
+                    "elided quiet tick at {:?} but the baseline started {:?}",
+                    clock,
+                    b
+                );
+            }
+        }
+        prop_assert!(on.check_invariants().is_ok());
+        prop_assert!(off.check_invariants().is_ok());
+        prop_assert_eq!(
+            on.cluster().free_nodes(),
+            off.cluster().free_nodes(),
+            "occupancy diverged at round {}",
+            round
+        );
+    }
+    prop_assert_eq!(job_table(&on), job_table(&off));
+    prop_assert_eq!(
+        off.incremental_stats().backfill_passes_elided,
+        0,
+        "Off must never elide"
+    );
+    Ok(seen)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn quiet_ticks_elide_only_passes_that_repeat(
+        seed in 0u64..100_000,
+        family in 0u8..3,
+        nodes in 12u32..41,
+    ) {
+        let family = if family == 2 {
+            BackfillFamily::easy(4)
+        } else {
+            BackfillFamily::Conservative
+        };
+        quiet_stretch_run(seed, nodes, family)?;
+    }
+}
+
+/// The quiet-stretch property has teeth: across a fixed set of cases the
+/// conservative memo really does elide quiet ticks, and ticks really do
+/// land on a memo's earliest planned start.
+#[test]
+fn quiet_stretches_exercise_the_conservative_memo() {
+    let mut total = QuietTicks::default();
+    for seed in 0..12u64 {
+        let seen = quiet_stretch_run(
+            seed,
+            16 + (seed as u32 % 3) * 8,
+            BackfillFamily::Conservative,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        total.elided += seen.elided;
+        total.on_planned_start += seen.on_planned_start;
+    }
+    assert!(total.elided > 0, "no conservative quiet tick was elided");
+    assert!(
+        total.on_planned_start > 0,
+        "no tick landed on a planned start"
+    );
 }
