@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the discrete-event engine: the substrate every
 //! workload experiment runs on, so its throughput bounds experiment
-//! turnaround.
+//! turnaround. Every case runs on the default queue backend (the timer
+//! wheel), the one the simulation driver uses.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
@@ -15,7 +16,7 @@ fn bench_queue(c: &mut Criterion) {
             b.iter_batched(
                 EventQueue::<u64>::new,
                 |mut q| {
-                    // Reverse order stresses the heap.
+                    // Reverse order: every push lands before all pending events.
                     for i in (0..n).rev() {
                         q.push(SimTime(i), i);
                     }

@@ -1,7 +1,7 @@
 //! Hot-path micro-benchmarks: each optimisation layer head-to-head with
 //! its reference — node allocation, pending-order consultation, the EASY
-//! backfill pass (reservation + reap), one full churn round across all
-//! three scheduler paths, and the slab job table against the `BTreeMap`
+//! backfill pass (reservation + reap), one full churn round on both
+//! scheduler paths, and the slab job table against the `BTreeMap`
 //! it replaced. `repro --bench-json` measures the same contrast
 //! end-to-end and appends to the `BENCH_sched.json` trajectory.
 
@@ -14,10 +14,9 @@ use dmr_cluster::{ClassConstraint, Cluster};
 use dmr_sim::{SimTime, Span};
 use dmr_slurm::{Job, JobArena, JobId, JobRequest, JobState, SchedIndex, Slurm, SlurmConfig};
 
-fn modes() -> [(&'static str, SchedIndex); 3] {
+fn modes() -> [(&'static str, SchedIndex); 2] {
     [
         ("arena", SchedIndex::Arena),
-        ("indexed", SchedIndex::Indexed),
         ("scan", SchedIndex::ScanReference),
     ]
 }

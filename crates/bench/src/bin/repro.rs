@@ -28,7 +28,8 @@
 //! `--hist` prints ASCII histograms of the waiting / execution /
 //! completion distributions. `--gen-swf` writes a synthetic SWF trace to
 //! stdout for long-replay smoke tests. `--bench-json` runs the scheduler
-//! hot-path throughput grid (arena vs indexed vs scan-reference) and
+//! hot-path throughput grid (the arena path, its axis twins, and the
+//! scan reference where it finishes) and
 //! appends one run to the `BENCH_sched.json` perf-trajectory document,
 //! keeping every prior run byte-identical (default path: repo root /
 //! current directory; `--smoke` shrinks the grid for CI; `--bench-label`
@@ -146,9 +147,11 @@ fn fault_flags(args: &[String]) -> (dmr_core::FaultLoad, Option<dmr_core::FaultT
 /// `BENCH_sched.json` trajectory (prior runs stay byte-identical; a
 /// legacy v1 snapshot is migrated verbatim as run 0). Exits non-zero if
 /// the spliced document fails its schema gate or any acceptance bar
-/// regresses: arena-vs-indexed headline speedup, the deep-backfill
+/// regresses: the headline incremental on/off ratio, the deep-backfill
 /// conservative/EASY-1 ratio, or the incremental-scheduling cross-run
-/// throughput gate against the `pr7-slotset-backfill` run.
+/// throughput gate against the `pr7-slotset-backfill` run. The
+/// within-run gates read the freshly rendered run only, never an older
+/// run's value.
 fn run_bench_json(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let path = flag_value(args, "--bench-out").unwrap_or("BENCH_sched.json");
@@ -201,32 +204,33 @@ fn run_bench_json(args: &[String]) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
-    let speedup = hotpath::headline_speedup(&doc).unwrap_or(0.0);
     eprintln!(
-        "appended run \"{label}\" to {path} ({} runs; headline speedup vs indexed: {speedup:.1}x)",
+        "appended run \"{label}\" to {path} ({} runs)",
         hotpath::run_count(&doc)
     );
-    // The bar was 5x when the indexed path re-derived everything per
-    // pass. Pass elision is index-agnostic — both paths skip the same
-    // provably-no-op passes — so the headline contrast compressed to the
-    // per-pass walk advantage (~1.25x measured best-of-5). The gate is
-    // now a regression guard: arena must stay strictly ahead of the
-    // indexed path, with margin for scheduler-interference noise.
+    // Headline gate: the arena EASY-1 headline cell against its
+    // SchedIncremental::Off twin, measured in the same interleaved
+    // best-of-N session, on smoke and full runs alike. The incremental
+    // layer (pass elision, the persistent order, retained plans) must
+    // keep the production path strictly ahead of the from-scratch path,
+    // with margin for scheduler-interference noise.
+    let speedup = hotpath::incremental_speedup(&run).unwrap_or(0.0);
+    eprintln!("headline: easy1 arena incremental on runs at {speedup:.2}x the off events/s");
     if speedup < 1.1 {
-        eprintln!("headline speedup {speedup:.1}x is below the 1.1x acceptance bar");
+        eprintln!("headline on/off ratio {speedup:.2}x is below the 1.1x acceptance bar");
         std::process::exit(1);
     }
     // Deep-backfill gate: with the persistent plans and the dirty-window
     // walk, conservative planning of the whole blocked queue must stay
     // within ~0.85x of the EASY-1 events/s on the headline cell (the
     // pre-incremental bar was 0.5x).
-    let ratio = hotpath::backfill_ratio(&doc).unwrap_or(0.0);
+    let ratio = hotpath::backfill_ratio(&run).unwrap_or(0.0);
     eprintln!("backfill axis: conservative runs at {ratio:.2}x the easy1 events/s");
     if ratio < 0.85 {
         eprintln!("conservative/easy1 ratio {ratio:.2} is below the 0.85x bar");
         std::process::exit(1);
     }
-    if let Some(rate) = hotpath::elision_rate(&doc) {
+    if let Some(rate) = hotpath::elision_rate(&run) {
         eprintln!(
             "incremental axis: {:.1}% of headline passes elided",
             rate * 100.0
@@ -274,7 +278,7 @@ fn run_bench_json(args: &[String]) {
     // sides run in the same interleaved best-of-N session, but smoke runs
     // only report — the 150-round smoke cells are short enough for a
     // single interference burst to swing a within-0.9 bar.
-    if let Some(hetero) = hotpath::hetero_ratio(&doc) {
+    if let Some(hetero) = hotpath::hetero_ratio(&run) {
         eprintln!("machine axis: hetero3 arena runs at {hetero:.2}x the uniform events/s");
         if hetero < 0.9 && !smoke {
             eprintln!("hetero3/uniform ratio {hetero:.2} is below the 0.9x bar");
@@ -284,7 +288,7 @@ fn run_bench_json(args: &[String]) {
     // Fault-axis gate: periodic kill-and-requeue plus repair churn must
     // keep the faulty arena cell within 0.7x of its calm twin. Same
     // smoke caveat as the machine axis: short smoke cells only report.
-    if let Some(fault) = hotpath::fault_ratio(&doc) {
+    if let Some(fault) = hotpath::fault_ratio(&run) {
         eprintln!("fault axis: faulty arena runs at {fault:.2}x the calm events/s");
         if fault < 0.7 && !smoke {
             eprintln!("faulty/calm ratio {fault:.2} is below the 0.7x bar");

@@ -5,14 +5,15 @@
 //! queue, one completion + one submission + one scheduling pass per
 //! round, a backfill pass every `bf_interval`-like 30 rounds) through
 //! the scheduler once per mode per grid cell: the arena hot path
-//! ([`SchedIndex::Arena`], the default), the previous incremental-index
-//! path ([`SchedIndex::Indexed`], the baseline the arena is gated
-//! against) and — on the cells where it finishes in reasonable time —
-//! the pre-index scan reference ([`SchedIndex::ScanReference`]). All
-//! runs execute the *identical* operation sequence — the paths are
-//! decision-identical by construction (pinned by
-//! `tests/index_equivalence.rs`) — so the wall-clock ratios are a pure
-//! measure of each optimisation layer.
+//! ([`SchedIndex::Arena`], the production default) and — on the cells
+//! where it finishes in reasonable time — the pre-index scan reference
+//! ([`SchedIndex::ScanReference`]). All runs execute the *identical*
+//! operation sequence — the paths are decision-identical by
+//! construction (pinned by `tests/index_equivalence.rs`) — so the
+//! wall-clock ratios are a pure measure of the index layer. The
+//! headline cells also re-run the arena path under each axis (deeper
+//! backfill, [`SchedIncremental::Off`], a three-class machine, injected
+//! faults), and `repro` gates the ratios between those twins.
 //!
 //! The document `repro --bench-json` maintains is **append-only**: every
 //! invocation renders one *run* object ([`render_run`]) and splices it
@@ -21,7 +22,9 @@
 //! trajectory across PRs, not a snapshot. A legacy `dmr-bench-sched/v1`
 //! snapshot is migrated verbatim as run 0. [`validate_bench_json`] is
 //! the schema gate the CI smoke step (and the unit tests) run against
-//! the rendered document.
+//! the rendered document. Every scraper reads only the document's last
+//! run ([`last_run`]), so a key the fresh run lacks reads as missing,
+//! never as an older run's value.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -50,7 +53,7 @@ const DOC_SUFFIX: &str = "\n]}\n";
 pub struct CellResult {
     pub nodes: u32,
     pub queue_depth: u32,
-    /// `"arena"`, `"indexed"` or `"scan"`.
+    /// `"arena"` or `"scan"`.
     pub mode: &'static str,
     /// Backfill family the cell ran (`"easy1"`, `"easy8"`, `"easy64"` or
     /// `"conservative"`) — the backfill-depth axis.
@@ -129,17 +132,12 @@ pub fn grid(smoke: bool) -> Vec<(u32, u32)> {
 /// Modes measured on one cell. The scan reference recomputes every
 /// pending priority per pass — O(queue) work per round that the paper's
 /// own trajectory already quantified at 4096×10k — so the cells beyond
-/// that scale run only the two indexed paths (the contrast the headline
-/// gate reads).
+/// that scale run only the arena path.
 pub fn modes_for(nodes: u32, depth: u32) -> Vec<SchedIndex> {
     if nodes > 4096 || depth > 10_000 {
-        vec![SchedIndex::Arena, SchedIndex::Indexed]
+        vec![SchedIndex::Arena]
     } else {
-        vec![
-            SchedIndex::Arena,
-            SchedIndex::Indexed,
-            SchedIndex::ScanReference,
-        ]
+        vec![SchedIndex::Arena, SchedIndex::ScanReference]
     }
 }
 
@@ -167,9 +165,9 @@ pub fn backfill_axis_cells(smoke: bool) -> Vec<(u32, u32)> {
 
 /// Rounds of churn per cell. The smoke count is chosen so the headline
 /// cell's timed section is long enough (≥ tens of milliseconds) for the
-/// arena/indexed ratio to be stable: at 30 rounds the arena sample sat
-/// under 10 ms and run-to-run noise alone swung the smoke gate across
-/// the 5x bar.
+/// gated ratios to be stable: at 30 rounds the arena sample sat under
+/// 10 ms and run-to-run noise alone swung the smoke gate across its
+/// bar.
 pub fn rounds(smoke: bool) -> u32 {
     if smoke {
         150
@@ -369,7 +367,6 @@ pub fn run_cell_faulty(
         queue_depth: depth,
         mode: match mode {
             SchedIndex::Arena => "arena",
-            SchedIndex::Indexed => "indexed",
             SchedIndex::ScanReference => "scan",
         },
         backfill: family.label(),
@@ -402,8 +399,8 @@ pub fn repeats(_smoke: bool) -> u32 {
 
 /// Measures every config of one grid cell, *rep-major*: each repeat
 /// sweeps all configs once before any config repeats. Every acceptance
-/// gate is a ratio between configs of the same cell (arena/indexed,
-/// conservative/easy1, on/off, hetero/uniform); a config-major order
+/// gate is a ratio between configs of the same cell (on/off,
+/// conservative/easy1, hetero/uniform, faulty/calm); a config-major order
 /// would let a burst of machine interference land entirely on one side
 /// of a ratio and swing the gate, while interleaving spreads any burst
 /// across all sides. Each repeat also *rotates* its starting config:
@@ -459,73 +456,41 @@ pub fn run_grid(smoke: bool, mut progress: impl FnMut(&CellResult)) -> Vec<CellR
     let rounds = rounds(smoke);
     let reps = repeats(smoke);
     let axis = backfill_axis_cells(smoke);
+    let easy1 = BackfillFamily::easy(1);
     let mut out = Vec::new();
     for (nodes, depth) in grid(smoke) {
         let mut configs: Vec<(SchedIndex, BackfillFamily, SchedIncremental, bool, bool)> =
             modes_for(nodes, depth)
                 .into_iter()
-                .map(|mode| {
-                    (
-                        mode,
-                        BackfillFamily::easy(1),
-                        SchedIncremental::On,
-                        false,
-                        false,
-                    )
-                })
+                .map(|mode| (mode, easy1, SchedIncremental::On, false, false))
                 .collect();
         if axis.contains(&(nodes, depth)) {
-            configs.extend(backfill_axis_families().into_iter().map(|family| {
-                (
-                    SchedIndex::Arena,
-                    family,
-                    SchedIncremental::On,
-                    false,
-                    false,
-                )
-            }));
-            configs.extend(
-                [BackfillFamily::easy(1), BackfillFamily::Conservative]
-                    .into_iter()
-                    .map(|family| {
-                        (
-                            SchedIndex::Arena,
-                            family,
-                            SchedIncremental::Off,
-                            false,
-                            false,
-                        )
-                    }),
-            );
-            // The machine axis: the same arena EASY-1 churn on the
-            // three-class cluster — the "per-class bookkeeping does not
-            // collapse the hot path" gate reads this cell against its
-            // uniform twin, so it is inserted *adjacent* to that twin:
-            // the gate ratio then compares back-to-back measurements
+            // The twins of the arena EASY-1 cell that a gate reads it
+            // against — the three-class machine, periodic node failure
+            // and repair, and incremental off — sit right after it, so
+            // each gated ratio compares near-back-to-back measurements
             // rather than the two ends of a sweep.
-            configs.insert(
-                1,
-                (
-                    SchedIndex::Arena,
-                    BackfillFamily::easy(1),
-                    SchedIncremental::On,
-                    true,
-                    false,
-                ),
+            let arena = SchedIndex::Arena;
+            configs.splice(
+                1..1,
+                [
+                    (arena, easy1, SchedIncremental::On, true, false),
+                    (arena, easy1, SchedIncremental::On, false, true),
+                    (arena, easy1, SchedIncremental::Off, false, false),
+                ],
             );
-            // The fault axis: the same arena EASY-1 churn under periodic
-            // node failure and repair — adjacent to the calm twin for
-            // the same back-to-back-measurement reason.
-            configs.insert(
-                2,
-                (
-                    SchedIndex::Arena,
-                    BackfillFamily::easy(1),
-                    SchedIncremental::On,
-                    false,
-                    true,
-                ),
+            configs.extend(
+                backfill_axis_families()
+                    .into_iter()
+                    .map(|family| (arena, family, SchedIncremental::On, false, false)),
             );
+            configs.push((
+                arena,
+                BackfillFamily::Conservative,
+                SchedIncremental::Off,
+                false,
+                false,
+            ));
         }
         for cell in best_cells(nodes, depth, rounds, &configs, reps) {
             progress(&cell);
@@ -551,10 +516,10 @@ fn json_f64(v: f64) -> String {
 /// Renders one grid run as a v2 *run* object (the element
 /// [`append_run`] splices into the trajectory document).
 ///
-/// The headline block compares the arena and indexed paths on the last
-/// grid cell (the 65,536-node / 100k-pending scenario):
-/// `speedup_vs_indexed` is the events-per-second ratio the acceptance
-/// gate reads.
+/// The headline block reports the arena path's events per second on the
+/// last grid cell (the 65,536-node / 100k-pending scenario); the
+/// acceptance gate reads `incremental_axis.easy1_on_vs_off`, the same
+/// cell against its [`SchedIncremental::Off`] twin.
 pub fn render_run(cells: &[CellResult], smoke: bool, label: &str) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"label\": \"{}\",", label.replace('"', "'"));
@@ -588,17 +553,12 @@ pub fn render_run(cells: &[CellResult], smoke: bool, label: &str) -> String {
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    let headline = headline(cells);
+    let (nodes, depth, arena) = headline(cells);
     let _ = write!(
         out,
-        "  \"headline\": {{\"nodes\": {}, \"queue_depth\": {}, \
-         \"arena_events_per_sec\": {}, \"indexed_events_per_sec\": {}, \
-         \"speedup_vs_indexed\": {}}}",
-        headline.0,
-        headline.1,
-        json_f64(headline.2),
-        json_f64(headline.3),
-        json_f64(headline.4),
+        "  \"headline\": {{\"nodes\": {nodes}, \"queue_depth\": {depth}, \
+         \"arena_events_per_sec\": {}}}",
+        json_f64(arena),
     );
     if let Some(axis) = backfill_headline(cells) {
         let _ = write!(
@@ -616,8 +576,8 @@ pub fn render_run(cells: &[CellResult], smoke: bool, label: &str) -> String {
     if let Some(axis) = incremental_headline(cells) {
         // Rendered *after* backfill_axis on purpose: it repeats the
         // conservative_vs_easy1 key (computed from the same On cells, so
-        // the values agree) and the rsplit scrapers read the last
-        // occurrence — old and new gates see the same number.
+        // the values agree) and the scrapers read the last occurrence —
+        // old and new gates see the same number.
         let _ = write!(
             out,
             ",\n  \"incremental_axis\": {{\"nodes\": {}, \"queue_depth\": {}, \
@@ -676,49 +636,23 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// `(nodes, depth, arena ev/s, indexed ev/s, speedup)` of the last cell.
-/// The backfill-depth axis cells (deeper-than-EASY-1 families) are not
-/// headline candidates — the headline compares hot-path layers on the
-/// paper's Slurm configuration.
-fn headline(cells: &[CellResult]) -> (u32, u32, f64, f64, f64) {
-    let Some(arena) = cells.iter().rev().find(|c| {
-        c.mode == "arena"
-            && c.backfill == "easy1"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-    }) else {
-        return (0, 0, 0.0, 0.0, 0.0);
-    };
-    let indexed = cells.iter().rev().find(|c| {
-        c.mode == "indexed"
-            && c.incremental == "on"
-            && c.machine == "uniform"
-            && c.faults == "off"
-            && c.nodes == arena.nodes
-            && c.queue_depth == arena.queue_depth
-    });
-    let Some(indexed) = indexed else {
-        return (
-            arena.nodes,
-            arena.queue_depth,
-            arena.events_per_sec(),
-            0.0,
-            0.0,
-        );
-    };
-    let speedup = if indexed.events_per_sec() > 0.0 {
-        arena.events_per_sec() / indexed.events_per_sec()
-    } else {
-        0.0
-    };
-    (
-        arena.nodes,
-        arena.queue_depth,
-        arena.events_per_sec(),
-        indexed.events_per_sec(),
-        speedup,
-    )
+/// `(nodes, depth, arena ev/s)` of the last arena cell on the paper's
+/// Slurm configuration (EASY-1, incremental on, uniform, fault-free).
+/// The axis cells are not headline candidates.
+fn headline(cells: &[CellResult]) -> (u32, u32, f64) {
+    cells
+        .iter()
+        .rev()
+        .find(|c| {
+            c.mode == "arena"
+                && c.backfill == "easy1"
+                && c.incremental == "on"
+                && c.machine == "uniform"
+                && c.faults == "off"
+        })
+        .map_or((0, 0, 0.0), |c| {
+            (c.nodes, c.queue_depth, c.events_per_sec())
+        })
 }
 
 /// `(nodes, depth, easy1 ev/s, conservative ev/s, ratio)` of the last
@@ -906,58 +840,59 @@ pub fn run_count(doc: &str) -> usize {
     doc.matches("\"label\"").count() + doc.matches(SCHEMA_V1).count()
 }
 
-/// Extracts the **last** run's `headline.speedup_vs_indexed` from a
-/// rendered document — the one scraper shared by the schema gate and the
-/// `repro` acceptance check, so the key format lives in exactly one
-/// place.
-pub fn headline_speedup(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"speedup_vs_indexed\": ")?;
+/// The last run of `text` — a whole trajectory document or one
+/// [`render_run`] object — from its `"label"` key to the end. `None`
+/// when `text` holds no labelled run.
+pub fn last_run(text: &str) -> Option<&str> {
+    text.rsplit_once("\"label\"").map(|(_, run)| run)
+}
+
+/// The last numeric `key` of the last run of `text` — the one scraper
+/// shared by the schema gate and the `repro` acceptance checks, so the
+/// key format lives in exactly one place. Reading only [`last_run`]
+/// means a key the fresh run lacks is `None`, never an older run's
+/// value.
+fn scrape(text: &str, key: &str) -> Option<f64> {
+    let (_, rest) = last_run(text)?.rsplit_once(&format!("\"{key}\": "))?;
     rest.split(['}', ','])
         .next()
         .and_then(|v| v.trim().parse::<f64>().ok())
 }
 
-/// Extracts the **last** run's `backfill_axis.conservative_vs_easy1`
-/// ratio — the deep-backfill acceptance gate. `None` when no run carried
-/// the backfill-depth axis (every pre-axis document).
-pub fn backfill_ratio(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"conservative_vs_easy1\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+/// The last run's `incremental_axis.easy1_on_vs_off` — the headline
+/// acceptance gate: the arena EASY-1 headline cell against its
+/// [`SchedIncremental::Off`] twin. `None` when the run lacks the axis.
+pub fn incremental_speedup(text: &str) -> Option<f64> {
+    scrape(text, "easy1_on_vs_off")
 }
 
-/// Extracts the **last** run's `hetero_axis.hetero_vs_uniform` ratio —
-/// the heterogeneous-machine acceptance gate (per-class free sets and
+/// The last run's `backfill_axis.conservative_vs_easy1` ratio — the
+/// deep-backfill acceptance gate. `None` when the run lacks the axis.
+pub fn backfill_ratio(text: &str) -> Option<f64> {
+    scrape(text, "conservative_vs_easy1")
+}
+
+/// The last run's `hetero_axis.hetero_vs_uniform` ratio — the
+/// heterogeneous-machine acceptance gate (per-class free sets and
 /// timelines must keep the arena path within 0.9x of the uniform cell).
-/// `None` when no run carried the machine axis (every pre-hetero
-/// document).
-pub fn hetero_ratio(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"hetero_vs_uniform\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+/// `None` when the run lacks the axis.
+pub fn hetero_ratio(text: &str) -> Option<f64> {
+    scrape(text, "hetero_vs_uniform")
 }
 
-/// Extracts the **last** run's `fault_axis.faulty_vs_calm` ratio — the
+/// The last run's `fault_axis.faulty_vs_calm` ratio — the
 /// fault-injection acceptance gate (kill-and-requeue plus repair churn
 /// must keep the arena path within 0.7x of the calm cell). `None` when
-/// no run carried the fault axis (every pre-fault document).
-pub fn fault_ratio(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"faulty_vs_calm\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+/// the run lacks the axis.
+pub fn fault_ratio(text: &str) -> Option<f64> {
+    scrape(text, "faulty_vs_calm")
 }
 
-/// Extracts the **last** run's `incremental_axis.elision_rate` — the
-/// fraction of headline-cell passes the memos answered in O(1). `None`
-/// for pre-incremental documents.
-pub fn elision_rate(doc: &str) -> Option<f64> {
-    let (_, rest) = doc.rsplit_once("\"elision_rate\": ")?;
-    rest.split(['}', ','])
-        .next()
-        .and_then(|v| v.trim().parse::<f64>().ok())
+/// The last run's `incremental_axis.elision_rate` — the fraction of
+/// headline-cell passes the memos answered in O(1). `None` when the run
+/// lacks the axis.
+pub fn elision_rate(text: &str) -> Option<f64> {
+    scrape(text, "elision_rate")
 }
 
 /// One cell parsed back out of a trajectory document — the cross-run
@@ -1084,28 +1019,13 @@ pub fn run_cell_lookup(
         })
 }
 
-/// Structural schema gate for a rendered document: required keys present,
-/// braces balanced, a parseable headline speedup on the last run.
-/// Deliberately minimal — it guards the CI artifact against shape
-/// regressions, not against perf regressions (those need comparable
-/// hardware).
+/// Structural schema gate for a rendered document: braces balanced, the
+/// headline keys present and parseable in the **last** run, and every
+/// axis some run of the document carries also present and in range in
+/// the last run (an axis may be introduced, never dropped). Deliberately
+/// minimal — it guards the CI artifact against shape regressions, not
+/// against perf regressions (those need comparable hardware).
 pub fn validate_bench_json(doc: &str) -> Result<(), String> {
-    for key in [
-        "\"schema\"",
-        "\"runs\"",
-        "\"label\"",
-        "\"smoke\"",
-        "\"cells\"",
-        "\"headline\"",
-        "\"events_per_sec\"",
-        "\"jobs_per_sec\"",
-        "\"peak_queue_depth\"",
-        "\"speedup_vs_indexed\"",
-    ] {
-        if !doc.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
     if !doc.starts_with(DOC_PREFIX) {
         return Err(format!("document does not open a {SCHEMA} trajectory"));
     }
@@ -1114,37 +1034,42 @@ pub fn validate_bench_json(doc: &str) -> Result<(), String> {
     if opens != closes {
         return Err(format!("unbalanced braces: {opens} vs {closes}"));
     }
-    let speedup = headline_speedup(doc).ok_or("speedup_vs_indexed is not a number")?;
-    if !speedup.is_finite() || speedup < 0.0 {
-        return Err(format!("speedup_vs_indexed {speedup} out of range"));
-    }
-    // The backfill axis is optional (pre-axis runs lack it) but must be
-    // well-formed where present.
-    if doc.contains("\"backfill_axis\"") {
-        let ratio = backfill_ratio(doc).ok_or("conservative_vs_easy1 is not a number")?;
-        if !ratio.is_finite() || ratio < 0.0 {
-            return Err(format!("conservative_vs_easy1 {ratio} out of range"));
+    let last = last_run(doc).ok_or("document has no labelled run")?;
+    for key in [
+        "\"smoke\"",
+        "\"cells\"",
+        "\"headline\"",
+        "\"events_per_sec\"",
+        "\"jobs_per_sec\"",
+        "\"peak_queue_depth\"",
+        "\"arena_events_per_sec\"",
+    ] {
+        if !last.contains(key) {
+            return Err(format!("last run is missing key {key}"));
         }
     }
-    // Same for the incremental axis (pre-incremental runs lack it).
-    if doc.contains("\"incremental_axis\"") {
-        let rate = elision_rate(doc).ok_or("elision_rate is not a number")?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("elision_rate {rate} out of range"));
-        }
+    let eps = scrape(doc, "arena_events_per_sec").ok_or("arena_events_per_sec is not a number")?;
+    if !eps.is_finite() || eps < 0.0 {
+        return Err(format!("arena_events_per_sec {eps} out of range"));
     }
-    // And the machine axis (pre-hetero runs lack it).
-    if doc.contains("\"hetero_axis\"") {
-        let ratio = hetero_ratio(doc).ok_or("hetero_vs_uniform is not a number")?;
-        if !ratio.is_finite() || ratio < 0.0 {
-            return Err(format!("hetero_vs_uniform {ratio} out of range"));
+    for (axis, key) in [
+        ("backfill_axis", "conservative_vs_easy1"),
+        ("incremental_axis", "easy1_on_vs_off"),
+        ("incremental_axis", "elision_rate"),
+        ("hetero_axis", "hetero_vs_uniform"),
+        ("fault_axis", "faulty_vs_calm"),
+    ] {
+        let axis = format!("\"{axis}\"");
+        if !doc.contains(&axis) {
+            continue;
         }
-    }
-    // And the fault axis (pre-fault runs lack it).
-    if doc.contains("\"fault_axis\"") {
-        let ratio = fault_ratio(doc).ok_or("faulty_vs_calm is not a number")?;
-        if !ratio.is_finite() || ratio < 0.0 {
-            return Err(format!("faulty_vs_calm {ratio} out of range"));
+        if !last.contains(&axis) {
+            return Err(format!("last run dropped {axis}"));
+        }
+        let v = scrape(doc, key).ok_or_else(|| format!("{key} is not a number"))?;
+        let max = if key == "elision_rate" { 1.0 } else { f64::MAX };
+        if !(0.0..=max).contains(&v) {
+            return Err(format!("{key} {v} out of range"));
         }
     }
     Ok(())
@@ -1161,14 +1086,10 @@ mod tests {
     use super::*;
 
     fn tiny_cells() -> Vec<CellResult> {
-        [
-            SchedIndex::Arena,
-            SchedIndex::Indexed,
-            SchedIndex::ScanReference,
-        ]
-        .into_iter()
-        .map(|m| run_cell(16, 20, m, 5))
-        .collect()
+        [SchedIndex::Arena, SchedIndex::ScanReference]
+            .into_iter()
+            .map(|m| run_cell(16, 20, m, 5))
+            .collect()
     }
 
     fn tiny_doc() -> String {
@@ -1190,15 +1111,15 @@ mod tests {
         let doc = tiny_doc();
         validate_bench_json(&doc).unwrap();
         assert!(doc.contains("\"mode\": \"arena\""));
-        assert!(doc.contains("\"mode\": \"indexed\""));
         assert!(doc.contains("\"mode\": \"scan\""));
+        assert!(!doc.contains("indexed"));
         assert_eq!(run_count(&doc), 1);
     }
 
     #[test]
     fn validator_rejects_broken_documents() {
         let doc = tiny_doc();
-        assert!(validate_bench_json(&doc.replace("speedup_vs_indexed", "nope")).is_err());
+        assert!(validate_bench_json(&doc.replace("arena_events_per_sec", "nope")).is_err());
         assert!(
             validate_bench_json(&doc[..doc.len() - 3]).is_err(),
             "unbalanced"
@@ -1216,7 +1137,10 @@ mod tests {
         assert_eq!(run_count(&doc2), 2);
         validate_bench_json(&doc2).unwrap();
         // The scraper reads the *last* run's headline.
-        assert!(headline_speedup(&doc2).is_some());
+        assert_eq!(
+            scrape(&doc2, "arena_events_per_sec"),
+            scrape(&render_run(&cells, true, "t1"), "arena_events_per_sec")
+        );
     }
 
     #[test]
@@ -1272,9 +1196,13 @@ mod tests {
                 assert!(grid(smoke).contains(&cell), "axis cell {cell:?} off-grid");
             }
         }
-        // The headline cell measures exactly the two gated paths.
-        assert_eq!(modes_for(65_536, 100_000).len(), 2);
-        assert_eq!(modes_for(64, 100).len(), 3);
+        // The headline cell runs only the arena path; small cells add
+        // the scan oracle.
+        assert_eq!(modes_for(65_536, 100_000), vec![SchedIndex::Arena]);
+        assert_eq!(
+            modes_for(64, 100),
+            vec![SchedIndex::Arena, SchedIndex::ScanReference]
+        );
     }
 
     #[test]
@@ -1293,9 +1221,12 @@ mod tests {
         assert!(doc.contains("\"backfill_axis\""));
         let ratio = backfill_ratio(&doc).expect("axis ratio present");
         assert!(ratio.is_finite() && ratio >= 0.0);
-        // The headline still compares the EASY-1 hot paths, not an axis
+        // The headline still reads the EASY-1 arena cell, not an axis
         // cell that happens to come last.
-        assert!(doc.contains("\"speedup_vs_indexed\""));
+        assert_eq!(
+            scrape(&doc, "arena_events_per_sec"),
+            Some(cells[0].events_per_sec())
+        );
     }
 
     #[test]
@@ -1333,6 +1264,74 @@ mod tests {
         assert_eq!(hetero_ratio(&doc), None);
         assert_eq!(fault_ratio(&doc), None);
         validate_bench_json(&doc).unwrap();
+    }
+
+    #[test]
+    fn gates_read_the_fresh_run_not_an_older_one() {
+        // Run "with" carries every axis; run "without", appended after
+        // it, carries none. Scrapers over the whole document must see
+        // only the last run — no older run's value leaks through — and
+        // the validator must reject the dropped axes.
+        let mut cells = tiny_cells();
+        cells.push(run_cell_family(
+            16,
+            20,
+            SchedIndex::Arena,
+            5,
+            BackfillFamily::Conservative,
+        ));
+        for family in [BackfillFamily::easy(1), BackfillFamily::Conservative] {
+            cells.push(run_cell_incremental(
+                16,
+                20,
+                SchedIndex::Arena,
+                5,
+                family,
+                SchedIncremental::Off,
+            ));
+        }
+        let arena = |hetero, faulty| {
+            run_cell_faulty(
+                16,
+                20,
+                SchedIndex::Arena,
+                5,
+                BackfillFamily::easy(1),
+                SchedIncremental::On,
+                hetero,
+                faulty,
+            )
+        };
+        cells.push(arena(true, false));
+        cells.push(arena(false, true));
+        let with = append_run(None, &render_run(&cells, true, "with")).unwrap();
+        validate_bench_json(&with).unwrap();
+        assert!(incremental_speedup(&with).is_some());
+        assert!(backfill_ratio(&with).is_some());
+        assert!(elision_rate(&with).is_some());
+        assert!(hetero_ratio(&with).is_some());
+        assert!(fault_ratio(&with).is_some());
+
+        let without = render_run(&tiny_cells(), true, "without");
+        let doc = append_run(Some(&with), &without).unwrap();
+        assert_eq!(incremental_speedup(&doc), None);
+        assert_eq!(backfill_ratio(&doc), None);
+        assert_eq!(elision_rate(&doc), None);
+        assert_eq!(hetero_ratio(&doc), None);
+        assert_eq!(fault_ratio(&doc), None);
+        let err = validate_bench_json(&doc).unwrap_err();
+        assert!(err.contains("dropped"), "{err}");
+        // Dropping just one axis is rejected too.
+        for axis in [
+            "backfill_axis",
+            "incremental_axis",
+            "hetero_axis",
+            "fault_axis",
+        ] {
+            let run = render_run(&cells, true, "partial").replace(axis, "gone");
+            let doc = append_run(Some(&with), &run).unwrap();
+            assert!(validate_bench_json(&doc).is_err(), "{axis} drop accepted");
+        }
     }
 
     #[test]
@@ -1381,6 +1380,8 @@ mod tests {
         assert!(doc.contains("\"incremental\": \"off\""));
         assert!(doc.contains("\"passes_elided\""));
         assert!(doc.contains("\"easy1_on_vs_off\""));
+        let speedup = incremental_speedup(&doc).expect("on/off ratio present");
+        assert!(speedup.is_finite() && speedup > 0.0);
         let rate = elision_rate(&doc).expect("elision rate present");
         assert!((0.0..=1.0).contains(&rate));
         // The repeated conservative_vs_easy1 key (the rsplit scraper
@@ -1421,7 +1422,10 @@ mod tests {
         assert!(ratio.is_finite() && ratio > 0.0);
         // The headline still reads the uniform cells, and the parser
         // carries the machine column through (defaulting old cells).
-        assert!(headline_speedup(&doc).is_some());
+        assert_eq!(
+            scrape(&doc, "arena_events_per_sec"),
+            Some(cells[0].events_per_sec())
+        );
         let parsed = trajectory_cells(run_fragment(&doc, "hetero").unwrap());
         assert!(parsed.iter().any(|c| c.machine == "hetero3"));
         assert!(parsed.iter().any(|c| c.machine == "uniform"));
@@ -1451,7 +1455,10 @@ mod tests {
         assert!(ratio.is_finite() && ratio > 0.0);
         // The headline still reads the calm cells, and the parser carries
         // the fault column through (defaulting old cells to "off").
-        assert!(headline_speedup(&doc).is_some());
+        assert_eq!(
+            scrape(&doc, "arena_events_per_sec"),
+            Some(cells[0].events_per_sec())
+        );
         let parsed = trajectory_cells(run_fragment(&doc, "faults").unwrap());
         assert!(parsed.iter().any(|c| c.faults == "on"));
         assert!(parsed.iter().any(|c| c.faults == "off"));

@@ -5,9 +5,9 @@
 //! mix × cluster size × policy × sync/async mode) and the parallel
 //! [`sweep`] runner that fans `run_experiment` over the (scenario × seed)
 //! grid with deterministic, thread-count-independent CSV output, and the
-//! [`hotpath`] throughput benchmark that pits the indexed scheduler
-//! against the pre-index scan oracle and writes the `BENCH_sched.json`
-//! perf trajectory. The `repro` binary dispatches to all three; the
+//! [`hotpath`] throughput benchmark that measures the arena scheduler
+//! path against its axis twins and the pre-index scan oracle and writes
+//! the `BENCH_sched.json` perf trajectory. The `repro` binary dispatches to all three; the
 //! criterion benches reuse the figure functions at reduced scale. Every figure function both
 //! *returns* structured rows (for tests and EXPERIMENTS.md generation)
 //! and *prints* a paper-style table.

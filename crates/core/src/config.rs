@@ -177,13 +177,9 @@ pub struct ExperimentConfig {
     /// Buffered ([`Telemetry::Full`]) or streaming bounded-memory
     /// ([`Telemetry::Online`]) metric recording.
     pub telemetry: Telemetry,
-    /// Scheduler hot-path implementation: the arena path (the default),
-    /// the previous indexed path (benchmark baseline) or the pre-index
-    /// scan reference kept as the equivalence oracle (see
-    /// [`SchedIndex`]). Also selects the event-queue backend: the arena
-    /// path runs on the timer wheel, the others on the reference binary
-    /// heap — backends are observationally identical, so the three-way
-    /// equivalence suite covers both.
+    /// Scheduler hot-path implementation: the arena path (the default)
+    /// or the pre-index scan reference kept as the equivalence oracle
+    /// (see [`SchedIndex`]).
     pub sched_index: SchedIndex,
     /// Machine-class layout of the simulated cluster. The default
     /// [`MachineMix::Uniform`] reproduces the paper's homogeneous testbed
@@ -384,20 +380,11 @@ impl ExperimentConfig {
 
     /// Runs the scheduler on the pre-index scan reference
     /// ([`SchedIndex::ScanReference`]). Scheduling decisions are
-    /// bit-identical to the default indexed path — this exists so
+    /// bit-identical to the default arena path — this exists so
     /// equivalence tests and benchmarks can hold the old hot path up as
     /// an oracle / baseline.
     pub fn scan_reference(mut self) -> Self {
         self.sched_index = SchedIndex::ScanReference;
-        self
-    }
-
-    /// Runs the scheduler on the previous indexed hot path
-    /// ([`SchedIndex::Indexed`]) — the PR-5 baseline the arena path is
-    /// benchmarked against. Scheduling decisions are bit-identical to
-    /// both the arena default and the scan reference.
-    pub fn indexed_reference(mut self) -> Self {
-        self.sched_index = SchedIndex::Indexed;
         self
     }
 }

@@ -33,8 +33,8 @@ pub(crate) mod shrink;
 
 use dmr_cluster::{Cluster, FaultSource, FaultTrace, PowerMeter};
 use dmr_metrics::{MetricsSink, OnlineAccumulator, SeriesRecorder, StepSeries, WorkloadSummary};
-use dmr_sim::{Engine, EventId, QueueKind, SimTime, Span, CLASS_EARLY};
-use dmr_slurm::{JobId, ResizeAction, SchedIndex, Slurm, SlurmConfig};
+use dmr_sim::{Engine, EventId, SimTime, Span, CLASS_EARLY};
+use dmr_slurm::{JobId, ResizeAction, Slurm, SlurmConfig};
 use dmr_workload::WorkloadSource;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -511,13 +511,6 @@ impl<'a, 's> Driver<'a, 's> {
         // completion, so the scheduler never needs to keep terminal
         // records — the active set is all that stays resident.
         scfg.retain_completed = false;
-        // The arena path runs on the timer-wheel queue backend; the other
-        // paths keep the reference binary heap, so the three-way
-        // equivalence suite exercises both backends end to end.
-        let queue_kind = match cfg.sched_index {
-            SchedIndex::Arena => QueueKind::TimerWheel,
-            _ => QueueKind::BinaryHeap,
-        };
         // Faultload plumbing: under `FaultLoad::None` the source is inert
         // and the protocol RNG is never even constructed — the zero-fault
         // path performs zero RNG work, keeping it bit-identical to a
@@ -532,7 +525,7 @@ impl<'a, 's> Driver<'a, 's> {
             arrived: 0,
             feed,
             slurm: Slurm::new(cluster, scfg),
-            engine: Engine::with_queue_kind(queue_kind),
+            engine: Engine::new(),
             running: JobMap::default(),
             spec_of: JobMap::default(),
             rj_to_orig: JobMap::default(),
@@ -607,22 +600,18 @@ impl<'a, 's> Driver<'a, 's> {
         self.finish()
     }
 
-    /// Runs a scheduling cycle now — or, on the arena and indexed paths,
-    /// marks one due and lets the run loop flush it once the current
-    /// instant's arrival batch is fully submitted (the scan reference
-    /// keeps the unbatched pass-per-submission cadence as the oracle).
-    /// Batching is sound precisely when the
-    /// pending order is the static `(boosted, submit, seq)` key order
-    /// ([`Slurm::pending_order_is_static`]): a new submission then sorts
-    /// strictly after every job already pending, so the combined pass
-    /// walks the queue through the same decisions the per-submission
-    /// passes would have made.
+    /// Runs a scheduling cycle now — or, on the arena path, marks one
+    /// due and lets the run loop flush it once the current instant's
+    /// arrival batch is fully submitted (the scan reference keeps the
+    /// unbatched pass-per-submission cadence as the oracle, since its
+    /// pending order is never reported static). Batching is sound
+    /// precisely when the pending order is the static `(boosted, submit,
+    /// seq)` key order ([`Slurm::pending_order_is_static`]): a new
+    /// submission then sorts strictly after every job already pending,
+    /// so the combined pass walks the queue through the same decisions
+    /// the per-submission passes would have made.
     pub(crate) fn request_schedule(&mut self, now: SimTime) {
-        if matches!(
-            self.cfg.sched_index,
-            SchedIndex::Arena | SchedIndex::Indexed
-        ) && self.slurm.pending_order_is_static()
-        {
+        if self.slurm.pending_order_is_static() {
             self.pass_due = true;
         } else {
             self.do_schedule(now);

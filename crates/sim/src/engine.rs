@@ -26,13 +26,13 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
+    /// An engine on the default queue backend ([`QueueKind::TimerWheel`]).
     pub fn new() -> Self {
-        Self::with_queue_kind(QueueKind::BinaryHeap)
+        Self::with_queue_kind(QueueKind::default())
     }
 
     /// An engine whose event queue runs on the given backend. Backends
-    /// are observationally identical (`(time, class, seq)` pop order);
-    /// the timer wheel is the one the arena scheduling path selects.
+    /// are observationally identical (`(time, class, seq)` pop order).
     pub fn with_queue_kind(kind: QueueKind) -> Self {
         Engine {
             now: SimTime::ZERO,

@@ -11,10 +11,8 @@
 //!
 //! Two interchangeable backends implement the store ([`QueueKind`]):
 //!
-//! * [`QueueKind::BinaryHeap`] — the reference `BinaryHeap` of
-//!   `(time, class, seq)` entries. O(log n) push/pop with pointer-free
-//!   sift traffic proportional to the whole pending set.
-//! * [`QueueKind::TimerWheel`] — a hierarchical timer wheel (6 bits per
+//! * [`QueueKind::TimerWheel`] (the default, and the backend the
+//!   simulation driver runs on) — a hierarchical timer wheel (6 bits per
 //!   level, 11 levels covering the full `u64` microsecond clock). A push
 //!   drops the entry into the bucket addressed by the highest bit-block
 //!   in which its deadline differs from the wheel cursor — O(1), no
@@ -25,6 +23,10 @@
 //!   many events are pending, and entries pushed at-or-before the cursor
 //!   (same-instant follow-ups, the driver's hottest case) bypass the
 //!   wheel entirely.
+//! * [`QueueKind::BinaryHeap`] — the reference `BinaryHeap` of
+//!   `(time, class, seq)` entries, kept as the model the wheel is tested
+//!   against. O(log n) push/pop with pointer-free sift traffic
+//!   proportional to the whole pending set.
 //!
 //! Both backends pop in exactly the same `(time, class, seq)` order —
 //! `tests/event_queue_invariants.rs` replays random interleavings through
@@ -47,16 +49,17 @@ pub const CLASS_EARLY: u8 = 0;
 /// Default tie-break class used by [`EventQueue::push`].
 pub const CLASS_NORMAL: u8 = 1;
 
-/// Backing store selector for [`EventQueue`] — the `SchedIndex`-style
-/// knob of the event layer. Both kinds are observationally identical;
-/// the wheel trades the heap's O(log n) comparison churn for O(levels)
-/// bucket hops and is the backend the arena scheduling path runs on.
+/// Backing store selector for [`EventQueue`]. Both kinds are
+/// observationally identical; the wheel trades the heap's O(log n)
+/// comparison churn for O(levels) bucket hops and is the production
+/// default.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum QueueKind {
-    /// Reference binary-heap backend (the original implementation).
-    #[default]
+    /// Reference binary-heap backend (the original implementation, kept
+    /// as the test model).
     BinaryHeap,
     /// Hierarchical timer-wheel backend.
+    #[default]
     TimerWheel,
 }
 
@@ -222,8 +225,9 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// A queue on the default backend ([`QueueKind::TimerWheel`]).
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::BinaryHeap)
+        Self::with_kind(QueueKind::default())
     }
 
     /// A queue on the given backend; both kinds pop identically.

@@ -21,22 +21,16 @@ use crate::slotset::{BackfillFamily, SlotSet, SlotSetCheckpoint};
 /// cursor walk of the pending index in [`Slurm::schedule`] (O(starts)
 /// instead of O(pending) per pass) and precise queue-cache invalidation
 /// (a completion that removes nothing from the pending set keeps the
-/// memoized order alive). [`SchedIndex::Indexed`] is the previous
-/// index-served hot path, kept costed exactly as before so benchmarks
-/// can measure the arena win against it. [`SchedIndex::ScanReference`]
-/// keeps the pre-index full-scan implementations alive as the
-/// *equivalence oracle*: all modes produce bit-identical scheduling
-/// decisions (pinned by `tests/index_equivalence.rs`); only the cost
-/// differs. Benchmarks run all of them to measure each step's win.
+/// memoized order alive). [`SchedIndex::ScanReference`] keeps the
+/// pre-index full-scan implementations alive as the *equivalence
+/// oracle*: both modes produce bit-identical scheduling decisions
+/// (pinned by `tests/index_equivalence.rs`); only the cost differs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedIndex {
     /// Slab job storage + pending-index cursor walk + precise cache
     /// invalidation (the fastest path).
     #[default]
     Arena,
-    /// Incremental indices with per-pass order materialisation (the
-    /// previous hot path, kept as the benchmark baseline).
-    Indexed,
     /// Pre-index scans and sorts on every pass (reference / oracle).
     ScanReference,
 }
@@ -104,7 +98,7 @@ pub struct SlurmConfig {
     /// live states), so the two settings schedule identically.
     pub retain_completed: bool,
     /// Hot-path implementation selector (see [`SchedIndex`]). Kept in the
-    /// config so experiments and benchmarks can pit the indexed path
+    /// config so experiments and benchmarks can pit the arena path
     /// against the scan oracle without code changes.
     pub sched_index: SchedIndex,
     /// Cross-pass state selector (see [`SchedIncremental`]): pass
@@ -353,7 +347,7 @@ struct QueueCache {
     /// while the index stays exact, not just at `at`).
     from_index: bool,
     /// Pending ids in index key order. Under the persistent regime
-    /// (`SchedIncremental::On` + arena + exact index) entries may be
+    /// (`SchedIncremental::On` + exact index) entries may be
     /// *tombstones* — ids whose job has since started, been cancelled or
     /// been pruned. Readers filter them against the generation-checked
     /// arena, so the order survives starts/cancellations (a removal never
@@ -950,18 +944,11 @@ impl Slurm {
     }
 
     /// Whether the incremental layer is active: the knob is on and the
-    /// mode is not the full-cost oracle.
+    /// mode is not the full-cost oracle. The queue cache then runs in
+    /// the persistent (tombstoned, appendable) regime.
     fn incr_on(&self) -> bool {
         self.config.sched_incremental == SchedIncremental::On
             && self.config.sched_index != SchedIndex::ScanReference
-    }
-
-    /// Whether the queue cache runs in the persistent (tombstoned,
-    /// appendable) regime. Arena-only: the `Indexed` mode keeps its
-    /// per-pass materialisation cost so benchmarks can still measure the
-    /// arena step against it.
-    fn cache_is_persistent(&self) -> bool {
-        self.incr_on() && self.config.sched_index == SchedIndex::Arena
     }
 
     /// Clears every cross-pass decision memo. The catch-all for mutations
@@ -1006,13 +993,13 @@ impl Slurm {
     /// order of the rest (start / cancellation): under the persistent
     /// cache its entry becomes a tombstone; otherwise the cache drops.
     fn queue_cache_tombstone(&mut self) {
-        if !self.cache_is_persistent() {
+        if !self.incr_on() {
             self.invalidate_queue_cache();
             return;
         }
         let mut cache = self.queue_cache.borrow_mut();
         if let Some(c) = cache.as_mut() {
-            if !c.from_index || !c.persistent {
+            if !c.persistent {
                 *cache = None;
                 return;
             }
@@ -1033,7 +1020,7 @@ impl Slurm {
     fn queue_cache_append(&mut self, id: JobId) {
         let mut cache = self.queue_cache.borrow_mut();
         if let Some(c) = cache.as_mut() {
-            if c.from_index && c.persistent {
+            if c.persistent {
                 Arc::make_mut(&mut c.order).push(id);
                 c.shared = None;
                 c.no_resizers = None;
@@ -1048,10 +1035,10 @@ impl Slurm {
     /// absent — passes then filter tombstones instead of materialising a
     /// fresh order. Elsewhere: the classic shared slice at full cost.
     fn pass_order(&self, now: SimTime) -> PassOrder {
-        if self.cache_is_persistent() && self.index_is_exact() {
+        if self.incr_on() && self.index_is_exact() {
             let mut cache = self.queue_cache.borrow_mut();
             if let Some(c) = cache.as_ref() {
-                if c.from_index && c.persistent {
+                if c.persistent {
                     return PassOrder::Persistent(Arc::clone(&c.order));
                 }
             }
@@ -1079,10 +1066,8 @@ impl Slurm {
     /// key — order can then only change at mutation points, never with
     /// time.
     fn index_is_exact(&self) -> bool {
-        matches!(
-            self.config.sched_index,
-            SchedIndex::Arena | SchedIndex::Indexed
-        ) && self.config.multifactor.weight_size == 0
+        self.config.sched_index == SchedIndex::Arena
+            && self.config.multifactor.weight_size == 0
             && self.pending_index.nonzero_base() == 0
     }
 
@@ -1138,7 +1123,7 @@ impl Slurm {
         // Only the persistent regime ever walks / appends / tombstones
         // `order`; everywhere else the clean slice is the whole cache and
         // `order` stays an empty placeholder (no second copy paid).
-        let persistent = self.cache_is_persistent() && indexed;
+        let persistent = self.incr_on() && indexed;
         let order = if persistent {
             Arc::new(shared.to_vec())
         } else {
@@ -1395,11 +1380,7 @@ impl Slurm {
         }
         self.incr.sched_runs += 1;
         self.reap_dead_resizers(now);
-        let (started, blocked) = if matches!(
-            self.config.sched_index,
-            SchedIndex::Arena | SchedIndex::Indexed
-        ) && self.index_is_exact()
-        {
+        let (started, blocked) = if self.index_is_exact() {
             self.schedule_walk(now)
         } else {
             let order = self.pending_ids_by_priority(now);
@@ -1439,9 +1420,9 @@ impl Slurm {
     /// O(k log n). Visit order is the exact index key order — identical
     /// to the slice the materialising path would have walked (the only
     /// mid-walk mutation, [`Slurm::start_job`], removes keys the cursor
-    /// has already passed). Used by both [`SchedIndex::Arena`] and
-    /// [`SchedIndex::Indexed`] whenever the index is exact. Also returns
-    /// the blocked head's request size for the elision watermark.
+    /// has already passed). Used by [`SchedIndex::Arena`] whenever the
+    /// index is exact. Also returns the blocked head's request size for
+    /// the elision watermark.
     fn schedule_walk(&mut self, now: SimTime) -> (Vec<JobStart>, Option<u32>) {
         let mut started = Vec::new();
         let mut blocked = None;
@@ -2018,8 +1999,8 @@ impl Slurm {
         // removes nothing from the pending set and touches no priority
         // input, so the memoized pending order stays valid. (Orphaned
         // resizers are reaped via `cancel`, which does invalidate.) The
-        // older paths invalidate unconditionally, exactly as before.
-        if was_pending || self.config.sched_index != SchedIndex::Arena {
+        // scan oracle invalidates unconditionally.
+        if was_pending || self.config.sched_index == SchedIndex::ScanReference {
             self.invalidate_queue_cache();
         }
         // A job that shrank to zero nodes cannot exist (envelope min >= 1),
@@ -2771,7 +2752,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_scan_paths_schedule_identically() {
+    fn arena_and_scan_paths_schedule_identically() {
         // Drive an identical mixed op sequence through both hot paths and
         // compare every observable: starts, queue orders, reservations
         // (via backfill behaviour), reaping.
@@ -2984,7 +2965,7 @@ mod tests {
 
     #[test]
     fn easy1_and_legacy_reference_schedule_identically() {
-        // Twin drive (the `indexed_and_scan_paths_schedule_identically`
+        // Twin drive (the `arena_and_scan_paths_schedule_identically`
         // pattern): the slot-set Easy{1} path and the legacy walk must
         // agree on every observable through a mixed op sequence.
         let mut easy = slurm(16);

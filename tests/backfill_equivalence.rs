@@ -8,7 +8,7 @@
 //! [`dmr::slurm::BackfillFamily::LegacyReference`] — the same oracle
 //! pattern as `SchedIndex::ScanReference` — and this suite drives *full
 //! experiments* (every workload family × resize policy × fixed/flexible ×
-//! sync/async, under every scheduler hot path) through both families,
+//! sync/async, under both scheduler hot paths) through both families,
 //! requiring bit-identical results down to the raw f64 bits of every
 //! summary field and the exact bytes of the sweep CSV row. Deeper
 //! families cannot be pinned to the oracle (they schedule differently by
@@ -110,7 +110,7 @@ proptest! {
         policy in 0u8..3,
         asynchronous in 0u8..2,
         fixed in 0u8..2,
-        hot_path in 0u8..3,
+        hot_path in 0u8..2,
         incremental in 0u8..2,
     ) {
         let kind = kind_for(kind);
@@ -123,14 +123,12 @@ proptest! {
         if fixed == 1 {
             cfg = cfg.as_fixed();
         }
-        // The family equivalence must hold under every scheduler hot
-        // path and with incremental pass elision both on and off (the
+        // The family equivalence must hold under both scheduler hot
+        // paths and with incremental pass elision both on and off (the
         // oracle axes are orthogonal).
-        cfg = match hot_path {
-            0 => cfg,
-            1 => cfg.indexed_reference(),
-            _ => cfg.scan_reference(),
-        };
+        if hot_path == 1 {
+            cfg = cfg.scan_reference();
+        }
         if incremental == 1 {
             cfg = cfg.incremental_off();
         }

@@ -5,8 +5,9 @@
 //! *both* backends (the binary heap and the hierarchical timer wheel),
 //! and a dedicated cross-backend property drives one random op sequence
 //! — pushes in both event classes, tombstone cancellations, interleaved
-//! pops that trigger compaction — through both queues and requires the
-//! full pop traces to be identical.
+//! pops that trigger compaction, same-instant follow-ups pushed at the
+//! instant just popped — through both queues and requires the full pop
+//! traces to be identical.
 
 use dmr::sim::queue::{EventQueue, QueueKind, CLASS_EARLY, CLASS_NORMAL};
 use dmr::sim::SimTime;
@@ -155,12 +156,15 @@ proptest! {
     /// The timer wheel is a drop-in replacement for the binary heap: one
     /// random op sequence — both event classes, far-future times that
     /// exercise cascading across wheel levels, tombstone cancellations
-    /// interleaved with pops (which trigger compaction on either side) —
-    /// produces byte-identical pop traces and head peeks on both.
+    /// interleaved with pops (which trigger compaction on either side),
+    /// and follow-ups pushed in both classes at the instant of the last
+    /// pop (the driver's same-instant case, which the wheel serves
+    /// without touching its buckets) — produces byte-identical pop traces
+    /// and head peeks on both.
     #[test]
     fn wheel_and_heap_pop_identical_traces(
         ops in proptest::collection::vec(
-            (0u64..1 << 40, proptest::bool::ANY, 0u64..100, 0u8..4),
+            (0u64..1 << 40, proptest::bool::ANY, 0u64..100, 0u8..5),
             1..150,
         ),
     ) {
@@ -170,6 +174,7 @@ proptest! {
         let mut wheel_keys = Vec::new();
         let mut trace_h = Vec::new();
         let mut trace_w = Vec::new();
+        let mut last_pop: Option<SimTime> = None;
         for (seq, &(time, early, hint, action)) in ops.iter().enumerate() {
             let class = if early { CLASS_EARLY } else { CLASS_NORMAL };
             heap_keys.push(heap.push_with_class(SimTime(time), class, seq));
@@ -185,11 +190,28 @@ proptest! {
                 }
                 // Pop one event from each and compare immediately.
                 1 => {
-                    trace_h.extend(heap.pop());
-                    trace_w.extend(wheel.pop());
+                    let (h, w) = (heap.pop(), wheel.pop());
+                    prop_assert_eq!(h, w);
+                    if let Some((t, _)) = h {
+                        last_pop = Some(t);
+                    }
+                    trace_h.extend(h);
+                    trace_w.extend(w);
                 }
                 // Peek must agree without disturbing either queue.
                 2 => prop_assert_eq!(heap.peek_head(), wheel.peek_head()),
+                // Same-instant follow-ups: push one event of each class at
+                // the instant just popped, as the driver does when an
+                // event schedules work for "now".
+                3 => {
+                    if let Some(t) = last_pop {
+                        for (k, class) in [CLASS_NORMAL, CLASS_EARLY].into_iter().enumerate() {
+                            let payload = ops.len() + 2 * seq + k;
+                            heap_keys.push(heap.push_with_class(t, class, payload));
+                            wheel_keys.push(wheel.push_with_class(t, class, payload));
+                        }
+                    }
+                }
                 _ => {}
             }
             prop_assert_eq!(heap.len(), wheel.len(), "live counts diverged at op {}", seq);

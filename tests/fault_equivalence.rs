@@ -11,8 +11,8 @@
 //! fault seed or a configured checkpoint interval. On top of that:
 //! scripted [`FaultTrace`]s replay deterministically (same script ⇒
 //! identical outcomes, run after run and across sweep thread counts),
-//! the PR 5 drained-while-allocated fix holds for *failures* on all
-//! three hot paths and on per-class clusters, and twin schedulers pin
+//! the PR 5 drained-while-allocated fix holds for *failures* on both
+//! hot paths and on per-class clusters, and twin schedulers pin
 //! that an elided pass never masks a failure invalidation.
 
 use dmr::cluster::{Cluster, FailOutcome, NodeId, NodeState};
@@ -134,7 +134,6 @@ proptest! {
         for cfg2 in [
             cfg.with_faults(FaultLoad::None).with_fault_seed(fault_seed),
             cfg.with_ckpt_interval(600.0),
-            cfg.indexed_reference().with_fault_seed(fault_seed),
             cfg.scan_reference().with_fault_seed(fault_seed),
         ] {
             let r = run_experiment_streaming(&cfg2, kind.build(jobs, seed).as_mut());
@@ -178,15 +177,15 @@ proptest! {
         let a = run_experiment_streaming_with_faults(&cfg, kind.build(jobs, seed).as_mut(), trace());
         let b = run_experiment_streaming_with_faults(&cfg, kind.build(jobs, seed).as_mut(), trace());
         assert_bit_identical(&a, &b)?;
-        let idx = cfg.indexed_reference();
-        let c = run_experiment_streaming_with_faults(&idx, kind.build(jobs, seed).as_mut(), trace());
-        let d = run_experiment_streaming_with_faults(&idx, kind.build(jobs, seed).as_mut(), trace());
+        let scan = cfg.scan_reference();
+        let c = run_experiment_streaming_with_faults(&scan, kind.build(jobs, seed).as_mut(), trace());
+        let d = run_experiment_streaming_with_faults(&scan, kind.build(jobs, seed).as_mut(), trace());
         assert_bit_identical(&c, &d)?;
     }
 
     /// The PR 5 fix, extended to failures: a node that fails *while
     /// allocated* returns to the unavailable pool when its job's nodes
-    /// release — never to a free set — on all three `SchedIndex` paths
+    /// release — never to a free set — on both `SchedIndex` paths
     /// and on a per-class (three-FreeSet) cluster alike. Repair is the
     /// only transition that makes it placeable again.
     #[test]
@@ -194,13 +193,12 @@ proptest! {
         seed in 0u64..100_000,
         nodes in 8u32..33,
         hetero in proptest::bool::ANY,
-        path in 0u8..3,
+        path in 0u8..2,
         rounds in 10u64..40,
     ) {
         let mut cfg = SlurmConfig::for_cluster(nodes);
         cfg.sched_index = match path {
             0 => dmr::slurm::SchedIndex::Arena,
-            1 => dmr::slurm::SchedIndex::Indexed,
             _ => dmr::slurm::SchedIndex::ScanReference,
         };
         let cluster = if hetero {

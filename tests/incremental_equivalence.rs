@@ -16,7 +16,7 @@
 //! Three properties pin the contract:
 //!
 //! 1. **Full-experiment equivalence** — every workload family × resize
-//!    policy × backfill family × hot path, run with incremental
+//!    policy × backfill family, run on the arena path with incremental
 //!    scheduling on and off, must agree down to the raw f64 bits of
 //!    every summary field.
 //! 2. **The shadow check** — twin schedulers driven through the same
@@ -109,7 +109,6 @@ proptest! {
         family in 0u8..4,
         asynchronous in 0u8..2,
         fixed in 0u8..2,
-        hot_path in 0u8..2,
     ) {
         let kind = kind_for(kind);
         let mut cfg = ExperimentConfig::preliminary()
@@ -122,11 +121,8 @@ proptest! {
         if fixed == 1 {
             cfg = cfg.as_fixed();
         }
-        // Elision exists on both order-indexed hot paths; the scan
-        // reference never elides and is covered by index_equivalence.
-        if hot_path == 1 {
-            cfg = cfg.indexed_reference();
-        }
+        // Elision exists on the arena path only; the scan reference
+        // never elides and is covered by index_equivalence.
         let on = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
         let off = run_experiment_streaming(
             &cfg.incremental_off(),

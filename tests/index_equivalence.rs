@@ -1,4 +1,4 @@
-//! Property test: every scheduler hot path is bit-identical to the
+//! Property test: the arena scheduler hot path is bit-identical to the
 //! pre-index scan reference.
 //!
 //! PR "index the scheduler hot path" replaced every per-pass scan with an
@@ -6,16 +6,16 @@
 //! by `(boosted, submit, seq)` (exact because the multifactor age term
 //! grows uniformly), backfill reservations walk a running-jobs end-time
 //! index, dead resizers are reaped through a reverse-dependency map, and
-//! node selection takes the lowest run of a sorted free set. The arena PR
-//! stacked a third path on top: slab job storage keyed by generation-
-//! checked dense ids, a hierarchical timer-wheel event queue, and
+//! node selection takes the lowest run of a sorted free set. The arena
+//! path (the production default) adds slab job storage keyed by
+//! generation-checked dense ids, a cursor walk of the pending index, and
 //! same-instant scheduling-pass batching in the driver. The old
 //! implementations survive behind [`dmr::slurm::SchedIndex::ScanReference`]
-//! as the oracle (with the PR 5 structures as `SchedIndex::Indexed`);
-//! this suite drives *full experiments* — every workload family × every
-//! resize policy × fixed/flexible × sync/async — through all three paths
-//! and requires pairwise bit-identical results, down to the raw f64 bits
-//! of every summary field and the exact bytes of the sweep CSV row.
+//! as the oracle; this suite drives *full experiments* — every workload
+//! family × every resize policy × fixed/flexible × sync/async — through
+//! both paths, and the arena path with incremental scheduling off, and
+//! requires bit-identical results, down to the raw f64 bits of every
+//! summary field and the exact bytes of the sweep CSV row.
 
 use dmr::core::{
     run_experiment_streaming, ExperimentConfig, ExperimentResult, PolicyKind, WorkloadKind,
@@ -116,31 +116,20 @@ proptest! {
             cfg = cfg.as_fixed();
         }
         let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let indexed = run_experiment_streaming(
-            &cfg.indexed_reference(),
-            kind.build(jobs, seed).as_mut(),
-        );
         let scan = run_experiment_streaming(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
-        assert_bit_identical(&arena, &indexed)?;
-        assert_bit_identical(&indexed, &scan)?;
+        assert_bit_identical(&arena, &scan)?;
         // Incremental scheduling off (the costed baseline) must be
-        // bit-identical on both hot paths that elide passes.
+        // bit-identical on the hot path that elides passes.
         let arena_off = run_experiment_streaming(
             &cfg.incremental_off(),
             kind.build(jobs, seed).as_mut(),
         );
-        let indexed_off = run_experiment_streaming(
-            &cfg.indexed_reference().incremental_off(),
-            kind.build(jobs, seed).as_mut(),
-        );
         assert_bit_identical(&arena, &arena_off)?;
-        assert_bit_identical(&indexed, &indexed_off)?;
         // The derived sweep CSV rows must be byte-identical too.
         let row = csv_row(kind, &cfg, seed, &arena);
-        prop_assert_eq!(&row, &csv_row(kind, &cfg, seed, &indexed));
         prop_assert_eq!(&row, &csv_row(kind, &cfg, seed, &scan));
         prop_assert_eq!(&row, &csv_row(kind, &cfg, seed, &arena_off));
     }
@@ -154,28 +143,18 @@ proptest! {
         let cfg = ExperimentConfig::preliminary();
         let kind = WorkloadKind::FsPreliminary;
         let arena = run_experiment_streaming(&cfg, kind.build(jobs, seed).as_mut());
-        let indexed = run_experiment_streaming(
-            &cfg.indexed_reference(),
-            kind.build(jobs, seed).as_mut(),
-        );
         let scan = run_experiment_streaming(
             &cfg.scan_reference(),
             kind.build(jobs, seed).as_mut(),
         );
         prop_assert_eq!(arena.outcomes.len(), scan.outcomes.len());
-        prop_assert_eq!(indexed.outcomes.len(), scan.outcomes.len());
-        for ((x, y), z) in arena.outcomes.iter().zip(&indexed.outcomes).zip(&scan.outcomes) {
+        for (x, z) in arena.outcomes.iter().zip(&scan.outcomes) {
             prop_assert_eq!(x.submit, z.submit);
             prop_assert_eq!(x.start, z.start);
             prop_assert_eq!(x.end, z.end);
             prop_assert_eq!(x.reconfigurations, z.reconfigurations);
-            prop_assert_eq!(y.submit, z.submit);
-            prop_assert_eq!(y.start, z.start);
-            prop_assert_eq!(y.end, z.end);
-            prop_assert_eq!(y.reconfigurations, z.reconfigurations);
         }
-        assert_bit_identical(&arena, &indexed)?;
-        assert_bit_identical(&indexed, &scan)?;
+        assert_bit_identical(&arena, &scan)?;
     }
 }
 
@@ -207,12 +186,6 @@ fn smoke_registry_sweep_rows_are_byte_identical_across_hot_paths() {
         };
         let cfg = sc.config();
         let arena_row = row(&cfg);
-        assert_eq!(
-            arena_row,
-            row(&cfg.indexed_reference()),
-            "scenario {} diverged between arena and indexed paths",
-            sc.name()
-        );
         assert_eq!(
             arena_row,
             row(&cfg.scan_reference()),
