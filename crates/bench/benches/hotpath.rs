@@ -1,8 +1,9 @@
 //! Hot-path micro-benchmarks: each optimisation layer head-to-head with
-//! its reference — node allocation, pending-order consultation, the EASY
-//! backfill pass (reservation + reap), one full churn round on both
-//! scheduler paths, and the slab job table against the `BTreeMap`
-//! it replaced. `repro --bench-json` measures the same contrast
+//! its reference — pending-order consultation, the EASY backfill pass
+//! (reservation + reap), one full churn round on both scheduler paths,
+//! and the slab job table against the `BTreeMap` it replaced — plus node
+//! allocation alone (its reference is the brute-force model in
+//! `tests/class_equivalence.rs`). `repro --bench-json` measures the same contrast
 //! end-to-end and appends to the `BENCH_sched.json` trajectory.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -21,26 +22,23 @@ fn modes() -> [(&'static str, SchedIndex); 2] {
     ]
 }
 
-/// A 4096-node cluster with the low 4000 ids busy: linear selection must
-/// reach past them for every grant.
-fn busy_low_cluster(scan: bool) -> Cluster {
+/// A 4096-node cluster with the low 4000 ids busy: lowest-id-first
+/// selection must reach past them for every grant.
+fn busy_low_cluster() -> Cluster {
     let mut c = Cluster::new(4096, 16);
-    c.use_scan_selection(scan);
     c.allocate(4000, 1).expect("fits");
     c
 }
 
 fn bench_allocate(c: &mut Criterion) {
     let mut g = c.benchmark_group("cluster");
-    for (label, mode) in modes() {
-        g.bench_function(format!("allocate32_n4096_busy_{label}"), |b| {
-            b.iter_batched(
-                || busy_low_cluster(mode == SchedIndex::ScanReference),
-                |mut c| black_box(c.allocate(32, 2).unwrap()),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    g.bench_function("allocate32_n4096_busy", |b| {
+        b.iter_batched(
+            busy_low_cluster,
+            |mut c| black_box(c.allocate(32, 2).unwrap()),
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 

@@ -93,10 +93,6 @@ pub struct Cluster {
     off_sets: Vec<FreeSet>,
     off_by_class: Vec<u32>,
     cores_per_node: u32,
-    /// Equivalence-oracle knob: select granted nodes with the pre-index
-    /// full scan instead of the run set (results are identical; only the
-    /// cost differs). See [`Cluster::use_scan_selection`].
-    scan_selection: bool,
 }
 
 /// Appends `granted` to the sorted `held` list, skipping the re-sort in
@@ -148,17 +144,7 @@ impl Cluster {
             off_sets: vec![FreeSet::new(); k],
             off_by_class: vec![0; k],
             cores_per_node,
-            scan_selection: false,
         }
-    }
-
-    /// Switches node selection in [`Cluster::allocate`] to the pre-index
-    /// O(total nodes) scan. The scan is the *reference implementation*:
-    /// it grants exactly the same nodes as the run-set path (pinned by
-    /// tests), and exists so benchmarks can measure the index win and
-    /// equivalence tests can hold the old behaviour up as an oracle.
-    pub fn use_scan_selection(&mut self, scan: bool) {
-        self.scan_selection = scan;
     }
 
     /// The paper's testbed: 65 nodes × 16 cores.
@@ -303,46 +289,19 @@ impl Cluster {
                 free: eligible_free,
             });
         }
-        let granted = if self.scan_selection {
-            // Reference path: the pre-index linear scan, restricted to
-            // the eligible class ranges (which are ascending, so under
-            // `Any` this is the historical whole-inventory scan).
-            let mut granted = Vec::with_capacity(n as usize);
-            let ranges: Vec<(u32, u32)> = self
-                .eligible_classes(constraint)
-                .map(|c| self.table.range(c))
-                .collect();
-            'scan: for (start, end) in ranges {
-                for i in start..end {
-                    if granted.len() == n as usize {
-                        break 'scan;
-                    }
-                    if self.owner[i as usize].is_none()
-                        && self.states[i as usize].accepts_new_work()
-                    {
-                        granted.push(NodeId(i));
-                    }
-                }
+        // Each class's run set holds exactly its placeable ids, ascending;
+        // draining eligible classes in range order is lowest-id-first
+        // selection (`tests/class_equivalence.rs` pins it against a
+        // brute-force scan model).
+        let mut granted = Vec::with_capacity(n as usize);
+        let classes: Vec<ClassId> = self.eligible_classes(constraint).collect();
+        for c in classes {
+            let want = n - granted.len() as u32;
+            if want == 0 {
+                break;
             }
-            for &node in &granted {
-                self.free[self.table.class_of(node.0)].remove(node.0);
-            }
-            granted
-        } else {
-            // Each class's run set holds exactly its placeable ids,
-            // ascending; draining eligible classes in range order is the
-            // same linear selection.
-            let mut granted = Vec::with_capacity(n as usize);
-            let classes: Vec<ClassId> = self.eligible_classes(constraint).collect();
-            for c in classes {
-                let want = n - granted.len() as u32;
-                if want == 0 {
-                    break;
-                }
-                granted.extend(self.free[c].take_lowest(want));
-            }
-            granted
-        };
+            granted.extend(self.free[c].take_lowest(want));
+        }
         debug_assert_eq!(granted.len(), n as usize);
         for &node in &granted {
             self.owner[node.index()] = Some(owner);
@@ -886,30 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_selection_grants_identical_nodes() {
-        // Drive the same fragmented allocation pattern through both
-        // selection paths; every grant must be bit-identical.
-        let run = |scan: bool| {
-            let mut c = Cluster::new(32, 16);
-            c.use_scan_selection(scan);
-            let mut grants = Vec::new();
-            for owner in 0..6u64 {
-                grants.push(c.allocate(3 + (owner as u32 % 3), owner).unwrap());
-            }
-            c.release_all(1).unwrap();
-            c.release_all(4).unwrap();
-            c.set_state(NodeId(2), NodeState::Drained);
-            grants.push(c.allocate(5, 10).unwrap());
-            grants.push(c.allocate(4, 11).unwrap());
-            c.release_tail(10, 2).unwrap();
-            grants.push(c.allocate(3, 12).unwrap());
-            c.check_invariants().unwrap();
-            (grants, c.free_nodes(), c.allocated_nodes())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn allocated_nodes_is_counter_backed() {
         let mut c = Cluster::new(10, 16);
         c.set_state(NodeId(9), NodeState::Down);
@@ -973,23 +908,6 @@ mod tests {
         assert!(c.can_allocate_in(1, ClassConstraint::GpuRequired));
         assert!(!c.can_allocate_in(2, ClassConstraint::GpuRequired));
         c.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn constrained_scan_matches_run_set() {
-        let drive = |scan: bool| {
-            let mut c = hetero();
-            c.use_scan_selection(scan);
-            let mut grants = Vec::new();
-            grants.push(c.allocate_in(1, 1, ClassConstraint::GpuRequired).unwrap());
-            grants.push(c.allocate_in(3, 2, ClassConstraint::Any).unwrap());
-            c.release_all(2).unwrap();
-            grants.push(c.allocate_in(2, 3, ClassConstraint::Class(1)).unwrap());
-            grants.push(c.allocate_in(4, 4, ClassConstraint::Any).unwrap());
-            c.check_invariants().unwrap();
-            (grants, c.free_nodes())
-        };
-        assert_eq!(drive(false), drive(true));
     }
 
     #[test]

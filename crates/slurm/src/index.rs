@@ -17,15 +17,17 @@
 //!   size dimension (per-size buckets under a min-key segment tree)
 //!   answers the resize policies' "first queued job whose request lies
 //!   in this range" without walking the queue.
-//! * [`RunningIndex`] — running jobs keyed by
-//!   `(expected_end, held_nodes, id)`, exactly the order the EASY
-//!   backfill reservation scan produced by sorting.
 //! * [`ResizerIndex`] — the parent → resizer reverse-dependency map, so
 //!   resizers orphaned by a completion are reaped in O(affected) instead
 //!   of an O(jobs) scan per scheduling pass.
 //!
+//! Running jobs are ordered by `(expected_end, held_nodes, id)` in
+//! [`crate::timeline::Commitments`], next to the backfill timelines
+//! derived from the same records.
+//!
 //! The indices are bookkeeping only: they never decide anything, and the
-//! pre-index scan implementations survive behind
+//! pre-index scans of the pending order, the reservation order and the
+//! resizer reap survive behind
 //! [`crate::slurm::SchedIndex::ScanReference`] as the equivalence oracle.
 
 use std::cmp::Reverse;
@@ -350,103 +352,6 @@ fn min_key(a: Option<PendingKey>, b: Option<PendingKey>) -> Option<PendingKey> {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, None) => a,
         (None, b) => b,
-    }
-}
-
-/// Ordered index of running jobs by `(expected_end, held_nodes, id)`.
-///
-/// This is exactly the order the backfill reservation scan produced: a
-/// stable sort of `(expected_end, held_nodes)` pairs collected in id
-/// order. A side map remembers each job's current key so re-keying on
-/// estimate refresh or resize is O(log n).
-#[derive(Debug, Default)]
-pub(crate) struct RunningIndex {
-    set: BTreeSet<(SimTime, u32, JobId)>,
-    key_of: BTreeMap<JobId, (SimTime, u32)>,
-    /// Sum of `held_nodes` over every indexed job, maintained at each
-    /// mutation. `free + held_total` is the node count *available over
-    /// time* — the base the slot-set timeline subtracts occupancy from.
-    held_total: u32,
-}
-
-impl RunningIndex {
-    pub(crate) fn insert(&mut self, id: JobId, end: SimTime, nodes: u32) {
-        debug_assert!(!self.key_of.contains_key(&id), "{id:?} already running");
-        self.set.insert((end, nodes, id));
-        self.key_of.insert(id, (end, nodes));
-        self.held_total += nodes;
-    }
-
-    /// Removes `id` if it is indexed (jobs completed defensively twice
-    /// are tolerated, mirroring the scheduler's release-mode leniency).
-    /// Returns the old `(expected_end, held_nodes)` key so the caller can
-    /// unplan the corresponding timeline interval.
-    pub(crate) fn remove(&mut self, id: JobId) -> Option<(SimTime, u32)> {
-        let old = self.key_of.remove(&id);
-        if let Some((end, nodes)) = old {
-            self.set.remove(&(end, nodes, id));
-            self.held_total -= nodes;
-        }
-        old
-    }
-
-    /// The expected end currently keyed for `id`, if it is running.
-    pub(crate) fn end_of(&self, id: JobId) -> Option<SimTime> {
-        self.key_of.get(&id).map(|&(end, _)| end)
-    }
-
-    /// Re-keys `id` with a new expected end (estimate refresh); returns
-    /// the old key for timeline re-planning.
-    pub(crate) fn set_end(&mut self, id: JobId, end: SimTime) -> Option<(SimTime, u32)> {
-        let key = self.key_of.get_mut(&id)?;
-        let old = *key;
-        self.set.remove(&(old.0, old.1, id));
-        key.0 = end;
-        self.set.insert((end, old.1, id));
-        Some(old)
-    }
-
-    /// Re-keys `id` with a new held-node count (expand / shrink); returns
-    /// the old key for timeline re-planning.
-    pub(crate) fn set_nodes(&mut self, id: JobId, nodes: u32) -> Option<(SimTime, u32)> {
-        let key = self.key_of.get_mut(&id)?;
-        let old = *key;
-        self.set.remove(&(old.0, old.1, id));
-        key.1 = nodes;
-        self.set.insert((old.0, nodes, id));
-        self.held_total = self.held_total - old.1 + nodes;
-        Some(old)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Sum of held nodes over every running job (O(1), maintained).
-    pub(crate) fn total_held(&self) -> u32 {
-        self.held_total
-    }
-
-    /// `(expected_end, held_nodes)` pairs in reservation-scan order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, u32)> + '_ {
-        self.set.iter().map(|&(end, nodes, _)| (end, nodes))
-    }
-
-    /// The jobs expiring exactly at `end`, in reservation-scan key order
-    /// — the "group" the legacy reservation walk may stop inside of.
-    pub(crate) fn group_at(&self, end: SimTime) -> impl Iterator<Item = (SimTime, u32)> + '_ {
-        self.set
-            .range((end, 0, JobId(0))..=(end, u32::MAX, JobId(u64::MAX)))
-            .map(|&(end, nodes, _)| (end, nodes))
-    }
-
-    /// The jobs whose expected end is at or before `now` (overruns), in
-    /// reservation-scan key order — the prefix the legacy walk clamps to
-    /// `now`.
-    pub(crate) fn ends_through(&self, now: SimTime) -> impl Iterator<Item = (SimTime, u32)> + '_ {
-        self.set
-            .range(..=(now, u32::MAX, JobId(u64::MAX)))
-            .map(|&(end, nodes, _)| (end, nodes))
     }
 }
 

@@ -36,6 +36,7 @@ pub mod policy;
 pub mod priority;
 pub mod slotset;
 pub mod slurm;
+pub(crate) mod timeline;
 
 pub use arena::JobArena;
 pub use job::{Dependency, Job, JobId, JobRequest, JobState, ResizeEnvelope};

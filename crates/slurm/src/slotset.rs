@@ -2,7 +2,8 @@
 //! behind the backfill families.
 //!
 //! The legacy EASY backfill re-derived the shadow time on every pass by
-//! walking the running-jobs end-time index and accumulating freed nodes.
+//! walking the running jobs in end-time order and accumulating freed
+//! nodes.
 //! That is O(running) per blocked job and — worse — it can only answer
 //! "when is the *cluster-wide* free count ≥ need", which is enough for a
 //! single reservation but not for planning many jobs into the future
@@ -37,6 +38,11 @@
 //! overrunning jobs (expected end in the past) come out right without
 //! special cases. Queries are read-only (`&self`): descents carry the
 //! accumulated lazy tags as a value instead of pushing them down.
+//!
+//! The scheduler's timelines — the aggregate one and one per machine
+//! class — are owned by the crate-private `timeline` module, which plans
+//! each running job's commitment into them and answers the backfill
+//! passes' hole and reservation queries.
 //!
 //! [`BackfillFamily`] selects which backfill algorithm consumes the
 //! timeline; the legacy single-reservation walk survives as

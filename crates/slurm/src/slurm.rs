@@ -8,11 +8,12 @@ use dmr_cluster::{ClassConstraint, Cluster, FailOutcome, NodeId};
 use dmr_sim::{SimTime, Span};
 
 use crate::arena::JobArena;
-use crate::index::{PendingIndex, PendingKey, ResizerIndex, RunningIndex};
+use crate::index::{PendingIndex, PendingKey, ResizerIndex};
 use crate::job::{Dependency, Job, JobId, JobRequest, JobState};
 use crate::policy::{PolicyKind, ResizePolicy};
 use crate::priority::MultifactorConfig;
-use crate::slotset::{BackfillFamily, SlotSet, SlotSetCheckpoint};
+use crate::slotset::BackfillFamily;
+use crate::timeline::{Commitments, NO_HOLE};
 
 /// Which hot-path implementation the scheduler runs on.
 ///
@@ -22,9 +23,12 @@ use crate::slotset::{BackfillFamily, SlotSet, SlotSetCheckpoint};
 /// instead of O(pending) per pass) and precise queue-cache invalidation
 /// (a completion that removes nothing from the pending set keeps the
 /// memoized order alive). [`SchedIndex::ScanReference`] keeps the
-/// pre-index full-scan implementations alive as the *equivalence
-/// oracle*: both modes produce bit-identical scheduling decisions
-/// (pinned by `tests/index_equivalence.rs`); only the cost differs.
+/// pre-index full scans — the pending priority sort, the sorted
+/// reservation scan of running jobs and the dead-resizer reap — alive as
+/// the *equivalence oracle*: both modes produce bit-identical scheduling
+/// decisions (pinned by `tests/index_equivalence.rs`); only the cost
+/// differs. Both modes share node selection and the running
+/// commitments of the crate-private `timeline` module.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedIndex {
     /// Slab job storage + pending-index cursor walk + precise cache
@@ -211,132 +215,13 @@ pub struct Slurm {
     queue_cache: RefCell<Option<QueueCache>>,
     /// Ordered pending index (see [`crate::index`]).
     pending_index: PendingIndex,
-    /// Running jobs ordered by `(expected_end, nodes, id)` for backfill.
-    running_index: RunningIndex,
     /// Parent → resizer reverse-dependency map for O(affected) reaping.
     resizer_index: ResizerIndex,
-    /// The slot-set free-resource timeline the EASY-k / conservative
-    /// backfill families query (see [`crate::slotset`]). `RefCell`: the
-    /// deferred deltas are flushed behind `&self` in
-    /// [`Slurm::check_invariants`].
-    timeline: RefCell<Timeline>,
-    /// One timeline per machine class, populated only when the cluster
-    /// spans more than one class (empty on uniform inventories, so the
-    /// single-class hot path pays nothing — the bit-identity oracle).
-    /// Class-constrained jobs find their backfill holes here instead of
-    /// in the over-optimistic aggregate.
-    class_timelines: RefCell<Vec<Timeline>>,
-    /// Per-class held-node counts of each running job at its last plan
-    /// (multi-class only): the exact counts the matching unplan must
-    /// mirror, whatever the allocation looks like by then.
-    class_counts: std::collections::BTreeMap<JobId, Vec<u32>>,
-    /// Per-class totals of held nodes across running jobs (multi-class
-    /// only) — the per-class analogue of `RunningIndex::total_held`.
-    class_held: Vec<u32>,
-    /// Whether the per-class timelines are live. They sit dormant — no
-    /// treap maintenance at all — until the first class-constrained
-    /// submission ([`Slurm::activate_class_timelines`]), because they are
-    /// only ever queried on behalf of a job with a sole eligible class,
-    /// and such a job must have been submitted first. Unconstrained
-    /// workloads on heterogeneous clusters therefore never pay the
-    /// per-class plan/sync/checkpoint costs.
-    class_tl_live: bool,
+    /// Every running job's node commitment and the backfill timelines
+    /// derived from it (see [`crate::timeline`]).
+    running: Commitments,
     /// Cross-pass incremental state ([`SchedIncremental`] layer).
     incr: IncrState,
-}
-
-/// One deferred timeline mutation: a running job's node commitment over
-/// `[horizon, end)`, to add (`plan`) or remove. Queued O(1) at the index
-/// mutation sites; applied (O(log slots) each) the next time the timeline
-/// is consulted, so the scheduling hot paths never pay tree costs.
-/// Applying from the *current* horizon is exact: occupancy behind the
-/// horizon is clipped on both plan and unplan, and [`SlotSet::advance`]
-/// prunes whatever a plan wrote behind the clock before any query runs.
-#[derive(Debug, Clone, Copy)]
-struct TimelineDelta {
-    end: SimTime,
-    nodes: u32,
-    plan: bool,
-}
-
-/// The timeline plus its deferred-delta queue (see [`TimelineDelta`]).
-#[derive(Debug)]
-struct Timeline {
-    slots: SlotSet,
-    queued: Vec<TimelineDelta>,
-    /// Checkpoint buffer for [`Timeline::save`], retained so steady-state
-    /// saves are allocation-free memcpys.
-    ckpt: SlotSetCheckpoint,
-    /// Real (non-plan) deltas flushed while a checkpoint is active — the
-    /// mid-pass starts whose commitments must survive the restore.
-    recorded: Vec<TimelineDelta>,
-    /// Whether a [`Timeline::save`] checkpoint is awaiting restore.
-    recording: bool,
-}
-
-impl Timeline {
-    fn new() -> Self {
-        Timeline {
-            slots: SlotSet::new(SimTime::ZERO),
-            queued: Vec::new(),
-            ckpt: SlotSetCheckpoint::default(),
-            recorded: Vec::new(),
-            recording: false,
-        }
-    }
-
-    /// Applies every queued delta (without moving the horizon).
-    fn flush(&mut self) {
-        for d in self.queued.drain(..) {
-            let h = self.slots.horizon();
-            if d.plan {
-                self.slots.plan(h, d.end, d.nodes);
-            } else {
-                self.slots.unplan(h, d.end, d.nodes);
-            }
-            if self.recording {
-                self.recorded.push(d);
-            }
-        }
-    }
-
-    /// Brings the timeline up to date with the simulation clock: applies
-    /// queued deltas, then garbage-collects everything behind `now`.
-    fn sync(&mut self, now: SimTime) {
-        self.flush();
-        self.slots.advance(now);
-    }
-
-    /// Checkpoints the timeline so a pass can commit temporary plans
-    /// directly ([`SlotSet::plan`], no journal) and drop them all with
-    /// one [`Timeline::restore`]. Real deltas flushed in between (jobs
-    /// the pass *started*) are recorded and survive the restore — they
-    /// are replayed on top of the checkpoint. The queue must be empty
-    /// (call [`Timeline::sync`] first) so the checkpoint is exact.
-    fn save(&mut self) {
-        debug_assert!(self.queued.is_empty(), "checkpoint with queued deltas");
-        self.slots.save(&mut self.ckpt);
-        self.recorded.clear();
-        self.recording = true;
-    }
-
-    /// Reverts to the last [`Timeline::save`], then replays the real
-    /// deltas recorded since. The horizon did not move while recording
-    /// (passes run at one instant), so replaying from the restored
-    /// horizon is exact — the same clipping [`Timeline::flush`] applied.
-    fn restore(&mut self) {
-        debug_assert!(self.recording, "restore without a checkpoint");
-        self.recording = false;
-        self.slots.restore(&self.ckpt);
-        let h = self.slots.horizon();
-        for d in self.recorded.drain(..) {
-            if d.plan {
-                self.slots.plan(h, d.end, d.nodes);
-            } else {
-                self.slots.unplan(h, d.end, d.nodes);
-            }
-        }
-    }
 }
 
 /// One memoized pending order (see [`Slurm::pending_queue`]).
@@ -478,10 +363,8 @@ pub struct IncrementalStats {
 }
 
 impl Slurm {
-    pub fn new(mut cluster: Cluster, config: SlurmConfig) -> Self {
-        cluster.use_scan_selection(config.sched_index == SchedIndex::ScanReference);
-        let nclasses = cluster.table().num_classes();
-        let per_class = if nclasses > 1 { nclasses } else { 0 };
+    pub fn new(cluster: Cluster, config: SlurmConfig) -> Self {
+        let running = Commitments::new(cluster.table().num_classes());
         let pending_index = PendingIndex::new(cluster.total_nodes());
         Slurm {
             cluster,
@@ -491,13 +374,8 @@ impl Slurm {
             config,
             queue_cache: RefCell::new(None),
             pending_index,
-            running_index: RunningIndex::default(),
+            running,
             resizer_index: ResizerIndex::default(),
-            timeline: RefCell::new(Timeline::new()),
-            class_timelines: RefCell::new((0..per_class).map(|_| Timeline::new()).collect()),
-            class_counts: std::collections::BTreeMap::new(),
-            class_held: vec![0; per_class],
-            class_tl_live: false,
             incr: IncrState::default(),
         }
     }
@@ -636,10 +514,10 @@ impl Slurm {
         self.jobs.iter()
     }
 
-    /// Number of running jobs. O(1): served from the running index,
-    /// which tracks the `Running` state exactly.
+    /// Number of running jobs, served from the running commitments,
+    /// which track the `Running` state exactly.
     pub fn running_count(&self) -> usize {
-        self.running_index.len()
+        self.running.len()
     }
 
     /// Number of pending jobs. O(1): served from the pending index.
@@ -720,7 +598,7 @@ impl Slurm {
             self.incr_clear();
         }
         if self.jobs[id].constraint != ClassConstraint::Any {
-            self.activate_class_timelines(now);
+            self.running.activate_classes(now);
         }
         id
     }
@@ -753,187 +631,10 @@ impl Slurm {
         // hole durations) but never the priority-FIFO walk: drop the
         // backfill memo, keep the schedule memo.
         self.incr.bf_memo = None;
-        let started_at = (j.state == JobState::Running)
-            .then_some(j.start_time)
-            .flatten();
-        if let Some(start) = started_at {
-            let new_end = start + estimate;
-            if let Some((old_end, nodes)) = self.running_index.set_end(id, new_end) {
-                // Re-plan only the affected slots: this job's old and new
-                // commitment intervals.
-                self.tl_queue(old_end, nodes, false);
-                self.tl_queue(new_end, nodes, true);
-                if let Some(counts) = self.class_counts.get(&id).cloned() {
-                    self.tlc_queue(&counts, old_end, false);
-                    self.tlc_queue(&counts, new_end, true);
-                }
-            }
-        }
-    }
-
-    /// Queues a timeline delta (a running job's node commitment until
-    /// `end`) for application at the next timeline consultation.
-    fn tl_queue(&mut self, end: SimTime, nodes: u32, plan: bool) {
-        if nodes == 0 {
-            return;
-        }
-        let tl = self.timeline.get_mut();
-        tl.queued.push(TimelineDelta { end, nodes, plan });
-        // Keep memory O(running) even when no backfill pass ever drains
-        // the queue (backfill disabled): paired plan/unplan deltas cancel
-        // once applied.
-        if tl.queued.len() >= 1024 {
-            tl.flush();
-        }
-    }
-
-    /// Whether the inventory spans more than one machine class (the
-    /// per-class timeline machinery is live).
-    fn multi_class(&self) -> bool {
-        !self.class_held.is_empty()
-    }
-
-    /// Queues per-class timeline deltas mirroring an aggregate delta.
-    /// No-op on uniform inventories (`counts` is empty then) and while
-    /// the class timelines are dormant (they are rebuilt wholesale when
-    /// they go live, see [`Slurm::activate_class_timelines`]).
-    fn tlc_queue(&mut self, counts: &[u32], end: SimTime, plan: bool) {
-        if !self.class_tl_live {
-            return;
-        }
-        let tls = self.class_timelines.get_mut();
-        for (c, &nodes) in counts.iter().enumerate() {
-            if nodes == 0 {
-                continue;
-            }
-            let tl = &mut tls[c];
-            tl.queued.push(TimelineDelta { end, nodes, plan });
-            if tl.queued.len() >= 1024 {
-                tl.flush();
-            }
-        }
-    }
-
-    /// Records a running job's per-class node commitment until `end`:
-    /// plans the class timelines and bumps the per-class held totals
-    /// (multi-class clusters only).
-    fn class_plan(&mut self, id: JobId, end: SimTime) {
-        if !self.multi_class() {
-            return;
-        }
-        let counts = self.cluster.held_class_counts(id.owner_tag());
-        for (c, &n) in counts.iter().enumerate() {
-            self.class_held[c] += n;
-        }
-        self.tlc_queue(&counts, end, true);
-        self.class_counts.insert(id, counts);
-    }
-
-    /// Removes the per-class commitment recorded by [`Slurm::class_plan`]
-    /// (multi-class clusters only; tolerates a job that was never
-    /// planned, mirroring the scheduler's release-mode leniency).
-    fn class_unplan(&mut self, id: JobId, end: SimTime) {
-        if let Some(counts) = self.class_counts.remove(&id) {
-            for (c, &n) in counts.iter().enumerate() {
-                self.class_held[c] -= n;
-            }
-            self.tlc_queue(&counts, end, false);
-        }
-    }
-
-    /// Brings the aggregate timeline — and, when live, every class
-    /// timeline — up to date with the simulation clock.
-    fn sync_timelines(&mut self, now: SimTime) {
-        self.timeline.get_mut().sync(now);
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.sync(now);
-            }
-        }
-    }
-
-    /// Brings the per-class timelines live: rebuilds each class's
-    /// occupancy profile from the recorded running commitments, after
-    /// which every mutation maintains them eagerly. Called on the first
-    /// class-constrained submission — queries only ever target a class
-    /// timeline on behalf of a constrained pending job, so until one
-    /// exists the timelines can sit dormant for free. The rebuild plans
-    /// the same `(end, count)` commitments the eager path would have
-    /// accumulated, so query answers (hole starts, range maxima) are
-    /// identical to timelines maintained from the start.
-    fn activate_class_timelines(&mut self, now: SimTime) {
-        if !self.multi_class() || self.class_tl_live {
-            return;
-        }
-        self.class_tl_live = true;
-        let tls = self.class_timelines.get_mut();
-        for tl in tls.iter_mut() {
-            debug_assert!(!tl.recording, "class timelines went live mid-pass");
-            *tl = Timeline::new();
-        }
-        for (&id, counts) in &self.class_counts {
-            let Some(end) = self.running_index.end_of(id) else {
-                continue;
-            };
-            for (c, &n) in counts.iter().enumerate() {
-                if n > 0 {
-                    let h = tls[c].slots.horizon();
-                    tls[c].slots.plan(h, end, n);
-                }
-            }
-        }
-        for tl in tls.iter_mut() {
-            tl.sync(now);
-        }
-    }
-
-    /// The single class eligible under `constraint`: `None` for `Any`,
-    /// on uniform inventories, or when the constraint spans several
-    /// classes (then only the aggregate timeline can answer for it).
-    fn sole_eligible_class(&self, constraint: ClassConstraint) -> Option<usize> {
-        if !self.multi_class() || constraint == ClassConstraint::Any {
-            return None;
-        }
-        let table = self.cluster.table();
-        let mut found = None;
-        for c in 0..table.num_classes() {
-            if constraint.allows(c, table.class(c)) {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(c);
-            }
-        }
-        found
-    }
-
-    /// Backfill reservation for a class-constrained blocked job: the
-    /// earliest hole on its class timeline when exactly one class is
-    /// eligible, otherwise the aggregate hole (over-optimistic for a
-    /// multi-class constraint, but a reservation is a throttle on
-    /// lower-priority starts, not a start-time promise).
-    fn constrained_hole(
-        &self,
-        constraint: ClassConstraint,
-        need: u32,
-        dur: Span,
-        now: SimTime,
-    ) -> (SimTime, u32) {
-        let Some(c) = self.sole_eligible_class(constraint) else {
-            return self.hole_reservation(need, dur, now);
-        };
-        let avail = self.cluster.free_nodes_in(ClassConstraint::Class(c)) + self.class_held[c];
-        if avail < need {
-            return (SimTime(u64::MAX), 0);
-        }
-        let cap = i64::from(avail - need);
-        let tls = self.class_timelines.borrow();
-        match tls[c].slots.earliest_hole(now, cap, dur) {
-            Some(s) => {
-                let peak = tls[c].slots.max_in(s, s + dur);
-                (s, (cap - peak) as u32)
-            }
-            None => (SimTime(u64::MAX), 0),
+        // Re-keys the job's commitment if it is running (a no-op for any
+        // other job).
+        if let Some(start) = j.start_time {
+            self.running.set_end(id, start + estimate);
         }
     }
 
@@ -1222,29 +923,9 @@ impl Slurm {
         }
     }
 
-    /// Earliest instant at which `need` nodes will be free, judging by
-    /// running jobs' expected ends, plus the spare ("extra") nodes at that
-    /// instant. This is the EASY backfill reservation for the top blocked
-    /// job.
-    fn reservation_for(&self, need: u32, now: SimTime) -> (SimTime, u32) {
-        if self.config.sched_index == SchedIndex::ScanReference {
-            return self.reservation_for_scan(need, now);
-        }
-        let mut free = self.cluster.free_nodes();
-        for (end, nodes) in self.running_index.iter() {
-            free += nodes;
-            if free >= need {
-                return (end.max(now), free - need);
-            }
-        }
-        // Estimates never free enough nodes (can happen transiently while
-        // resizer nodes are detached): no backfill headroom.
-        (SimTime(u64::MAX), 0)
-    }
-
     /// The pre-index reservation: collect every running job's
     /// `(expected_end, held_nodes)` and sort — the equivalence oracle for
-    /// the [`RunningIndex`] walk above.
+    /// [`Commitments::walk_reservation`].
     fn reservation_for_scan(&self, need: u32, now: SimTime) -> (SimTime, u32) {
         let mut ends: Vec<(SimTime, u32)> = self
             .jobs
@@ -1265,7 +946,7 @@ impl Slurm {
                 return (end.max(now), free - need);
             }
         }
-        (SimTime(u64::MAX), 0)
+        NO_HOLE
     }
 
     fn start_job(&mut self, id: JobId, now: SimTime) -> JobStart {
@@ -1281,10 +962,7 @@ impl Slurm {
         job.start_time = Some(now);
         let end = now + job.expected_runtime;
         let resizer_for = job.dependency.map(|Dependency::ExpandOf(parent)| parent);
-        let held = self.cluster.held_by(id.owner_tag());
-        self.running_index.insert(id, end, held);
-        self.tl_queue(end, held, true);
-        self.class_plan(id, end);
+        self.running.start(id, end, &self.cluster);
         // A start changes the free count, the running set and (for
         // resizer parents) dependency satisfiability: every memo dies;
         // the persistent order keeps the started id as a tombstone.
@@ -1493,8 +1171,8 @@ impl Slurm {
     }
 
     /// The pre-slot-set EASY pass: one reservation computed by the
-    /// running-index walk ([`Slurm::reservation_for`]), kept verbatim as
-    /// the equivalence oracle for `Easy { reservations: 1 }`.
+    /// running-commitment walk ([`Commitments::walk_reservation`]), kept
+    /// verbatim as the equivalence oracle for `Easy { reservations: 1 }`.
     fn backfill_pass_legacy(&mut self, now: SimTime) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
         let order = self.pending_ids_by_priority(now);
@@ -1515,7 +1193,11 @@ impl Slurm {
                     if !self.config.backfill {
                         break;
                     }
-                    reservation = Some(self.reservation_for(need, now));
+                    reservation = Some(if self.config.sched_index == SchedIndex::ScanReference {
+                        self.reservation_for_scan(need, now)
+                    } else {
+                        self.running.walk_reservation(&self.cluster, need, now)
+                    });
                 }
                 (Some((shadow, extra)), true) => {
                     // Backfill: must not delay the reservation holder.
@@ -1538,13 +1220,13 @@ impl Slurm {
     /// starts only if, for every reservation, it either ends by the
     /// shadow time or fits in the spare nodes (which it then consumes).
     /// The first reservation reproduces the legacy walk bit-for-bit
-    /// ([`Slurm::easy_first_reservation`]); deeper ones are O(log slots)
+    /// ([`Commitments::first_reservation`]); deeper ones are O(log slots)
     /// hole queries. Reservations are planned into the timeline for the
     /// duration of the pass so each later hole query sees the earlier
     /// plans, and unplanned before returning.
     fn backfill_pass_easy(&mut self, now: SimTime, k: u32) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
-        self.sync_timelines(now);
+        self.running.sync(now);
         let order = self.pass_order(now);
         let mut started = Vec::new();
         let mut reservations: Vec<(SimTime, u32)> = Vec::new();
@@ -1552,25 +1234,15 @@ impl Slurm {
         let mut watermark = u32::MAX;
         let mut fitting_refused = false;
         for &id in order.ids() {
-            // Tombstone / state filter: under the persistent order, ids
-            // may refer to started, cancelled or recycled jobs; the
-            // generation-checked arena rejects them. A clean order only
-            // ever holds pending jobs here, so the filter is a no-op.
-            let Some(job) = self.jobs.get(id) else {
+            let Some(job) = self.pass_candidate(id) else {
                 continue;
             };
-            if job.state != JobState::Pending {
-                continue;
-            }
-            if !self.dependency_satisfied(job) {
-                continue;
-            }
             let need = job.requested_nodes;
             let constraint = job.constraint;
             if self.cluster.can_allocate_in(need, constraint) {
                 if reservations.is_empty() {
                     started.push(self.start_job(id, now));
-                    self.sync_timelines(now);
+                    self.running.sync(now);
                     continue;
                 }
                 let est_end = now + self.jobs[id].expected_runtime;
@@ -1584,7 +1256,7 @@ impl Slurm {
                         }
                     }
                     started.push(self.start_job(id, now));
-                    self.sync_timelines(now);
+                    self.running.sync(now);
                 } else {
                     // A fitting job refused by the harmless check: not a
                     // time-invariant refusal (see [`BfMemo`]).
@@ -1597,35 +1269,23 @@ impl Slurm {
                 }
                 if (reservations.len() as u32) < k {
                     let dur = self.jobs[id].expected_runtime;
-                    let (shadow, spare) = if constraint != ClassConstraint::Any {
-                        self.constrained_hole(constraint, need, dur, now)
-                    } else if reservations.is_empty() {
-                        self.easy_first_reservation(need, now)
-                    } else {
-                        self.hole_reservation(need, dur, now)
-                    };
-                    if shadow != SimTime(u64::MAX) {
-                        let until = shadow + dur;
-                        self.timeline
-                            .get_mut()
-                            .slots
-                            .plan_journaled(shadow, until, need);
-                        if let Some(c) = self.sole_eligible_class(constraint) {
-                            self.class_timelines.get_mut()[c]
-                                .slots
-                                .plan_journaled(shadow, until, need);
-                        }
+                    let sole = self.running.sole_class(&self.cluster, constraint);
+                    let (shadow, spare) =
+                        if constraint == ClassConstraint::Any && reservations.is_empty() {
+                            self.running.first_reservation(&self.cluster, need, now)
+                        } else {
+                            self.running
+                                .reservation(&self.cluster, sole, need, dur, now)
+                        };
+                    if shadow != NO_HOLE.0 {
+                        self.running
+                            .plan_temporary(sole, shadow, shadow + dur, need);
                     }
                     reservations.push((shadow, spare));
                 }
             }
         }
-        self.timeline.get_mut().slots.rollback_plans();
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.slots.rollback_plans();
-            }
-        }
+        self.running.rollback();
         self.bf_memoize(
             now,
             watermark,
@@ -1649,18 +1309,12 @@ impl Slurm {
     /// the window would have no plans protecting them.
     fn backfill_pass_conservative(&mut self, now: SimTime) -> Vec<JobStart> {
         self.reap_dead_resizers(now);
-        self.sync_timelines(now);
+        self.running.sync(now);
         // Temporary plans go in un-journaled: the pass plans up to
         // `window` reservations, and unwinding them one treap op at a
         // time dominates the pass. A checkpoint reverts them all in one
-        // flat copy; mid-pass starts are replayed on top (see
-        // [`Timeline::save`]).
-        self.timeline.get_mut().save();
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.save();
-            }
-        }
+        // flat copy; mid-pass starts are replayed on top.
+        self.running.save();
         let window = self.config.bf_max_job_test.max(1);
         let order = self.pass_order(now);
         let mut started = Vec::new();
@@ -1670,19 +1324,13 @@ impl Slurm {
         let mut watermark = u32::MAX;
         let mut fitting_refused = false;
         for &id in order.ids() {
-            // Tombstone / state filter (see `backfill_pass_easy`). Under
-            // the persistent order this is what makes the pass a *window
-            // over the retained order* — O(window + skips) instead of a
-            // full O(pending) materialisation per pass.
-            let Some(job) = self.jobs.get(id) else {
+            // Under the persistent order the tombstone filter is what
+            // makes the pass a *window over the retained order* —
+            // O(window + skips) instead of a full O(pending)
+            // materialisation per pass.
+            let Some(job) = self.pass_candidate(id) else {
                 continue;
             };
-            if job.state != JobState::Pending {
-                continue;
-            }
-            if !self.dependency_satisfied(job) {
-                continue;
-            }
             let need = job.requested_nodes;
             let dur = job.expected_runtime;
             let fits = self.cluster.can_allocate_in(need, job.constraint);
@@ -1696,34 +1344,15 @@ impl Slurm {
             }
             // A class-constrained job with a single eligible class plans
             // against that class's timeline (the aggregate would lend it
-            // capacity its class never has); the plan still goes into
-            // the aggregate too so unconstrained jobs cannot double-book
-            // the same global window.
-            let sole = self.sole_eligible_class(job.constraint);
-            let avail = match sole {
-                Some(c) => {
-                    self.cluster.free_nodes_in(ClassConstraint::Class(c)) + self.class_held[c]
-                }
-                None => self.cluster.free_nodes() + self.running_index.total_held(),
-            };
-            if avail < need {
-                // Can never run on current estimates; nothing to plan.
-                // (A start needs `fits`, i.e. free >= need > avail >=
-                // free — so the watermark rule covers this refusal too.)
-                watermark = watermark.min(need);
-                continue;
-            }
-            let cap = i64::from(avail - need);
-            let hole = match sole {
-                Some(c) => self.class_timelines.borrow()[c]
-                    .slots
-                    .earliest_hole(now, cap, dur),
-                None => self.timeline.borrow().slots.earliest_hole(now, cap, dur),
-            };
-            match hole {
+            // capacity its class never has).
+            let sole = self.running.sole_class(&self.cluster, job.constraint);
+            match self
+                .running
+                .earliest_hole(&self.cluster, sole, need, dur, now)
+            {
                 Some(s) if s == now && fits => {
                     started.push(self.start_job(id, now));
-                    self.sync_timelines(now);
+                    self.running.sync(now);
                 }
                 Some(s) => {
                     // A fitting job whose hole is not at `now` is a
@@ -1735,13 +1364,12 @@ impl Slurm {
                     } else {
                         watermark = watermark.min(need);
                     }
-                    let until = s + dur;
-                    self.timeline.get_mut().slots.plan(s, until, need);
-                    if let Some(c) = sole {
-                        self.class_timelines.get_mut()[c].slots.plan(s, until, need);
-                    }
+                    self.running.plan_temporary(sole, s, s + dur, need);
                     plan_slots.push((id, s));
                 }
+                // No hole ever opens on current estimates, nothing to
+                // plan. A job that fits cannot lack one for want of
+                // nodes (`free >= need` leaves `avail >= need`).
                 None => {
                     if fits {
                         fitting_refused = true;
@@ -1751,12 +1379,7 @@ impl Slurm {
                 }
             }
         }
-        self.timeline.get_mut().restore();
-        if self.class_tl_live {
-            for tl in self.class_timelines.get_mut() {
-                tl.restore();
-            }
-        }
+        self.running.restore();
         self.bf_memoize(
             now,
             watermark,
@@ -1766,6 +1389,16 @@ impl Slurm {
             plan_slots,
         );
         started
+    }
+
+    /// The job at `id` of a backfill pass's walk order if the pass may
+    /// consider it: pending, dependency satisfied. Under the persistent
+    /// order ids may refer to started, cancelled or recycled jobs, which
+    /// this filter rejects; a clean order only holds pending jobs.
+    fn pass_candidate(&self, id: JobId) -> Option<&Job> {
+        self.jobs
+            .get(id)
+            .filter(|j| j.state == JobState::Pending && self.dependency_satisfied(j))
     }
 
     /// Records the memo of a fruitless backfill pass (see [`BfMemo`]).
@@ -1864,18 +1497,15 @@ impl Slurm {
         let Some((need, constraint, dur)) = blocked else {
             return false;
         };
-        self.timeline.borrow_mut().sync(now);
-        if self.class_tl_live {
-            for tl in self.class_timelines.borrow_mut().iter_mut() {
-                tl.sync(now);
-            }
-        }
-        let (shadow, spare) = if constraint != ClassConstraint::Any {
-            self.constrained_hole(constraint, need, dur, now)
+        self.running.sync(now);
+        let (shadow, spare) = if constraint == ClassConstraint::Any {
+            self.running.first_reservation(&self.cluster, need, now)
         } else {
-            self.easy_first_reservation(need, now)
+            let sole = self.running.sole_class(&self.cluster, constraint);
+            self.running
+                .reservation(&self.cluster, sole, need, dur, now)
         };
-        if shadow == SimTime(u64::MAX) {
+        if shadow == NO_HOLE.0 {
             return false;
         }
         let grown_end = self.jobs.get(id).and_then(Job::expected_end).unwrap_or(now);
@@ -1894,84 +1524,6 @@ impl Slurm {
         })
     }
 
-    /// The first EASY reservation, answered from the timeline but
-    /// bit-for-bit identical to the legacy walk ([`Slurm::reservation_for`]).
-    ///
-    /// The timeline locates the crossing slot in O(log): the first
-    /// boundary `S` where planned occupancy leaves `need` nodes free.
-    /// The legacy walk, however, stops *inside* the group of running
-    /// jobs sharing the expected end `S` — its "extra" count excludes
-    /// later same-end entries — so the partial accumulation is replayed
-    /// over just that group (O(group), not O(running)).
-    fn easy_first_reservation(&self, need: u32, now: SimTime) -> (SimTime, u32) {
-        let free_now = self.cluster.free_nodes();
-        // Defensive: callers only ask about blocked jobs (free < need).
-        // Should the preconditions ever not hold, defer to the oracle so
-        // the answer is unconditionally identical.
-        if free_now >= need || self.running_index.len() == 0 {
-            return self.reservation_for(need, now);
-        }
-        let avail = free_now + self.running_index.total_held();
-        if avail < need {
-            // Estimates never free enough nodes (can happen transiently
-            // while resizer nodes are detached): no backfill headroom.
-            return (SimTime(u64::MAX), 0);
-        }
-        let cap = i64::from(avail - need);
-        let tl = self.timeline.borrow();
-        let Some(s) = tl.slots.first_fit_at(now, cap) else {
-            return (SimTime(u64::MAX), 0);
-        };
-        let occ_s = tl.slots.occupied_at(s);
-        drop(tl);
-        if s <= now {
-            // Jobs already past their estimate (their ends clamp to
-            // `now` in the legacy walk) free enough on their own.
-            let mut free = free_now;
-            for (_, nodes) in self.running_index.ends_through(now) {
-                free += nodes;
-                if free >= need {
-                    return (now, free - need);
-                }
-            }
-        } else {
-            let group_sum: u32 = self.running_index.group_at(s).map(|(_, n)| n).sum();
-            // Free count just before the group: avail - occ(S) counts
-            // every job ending at or before S as freed; subtract the
-            // group to get the legacy accumulator's starting point.
-            let mut free = avail - (occ_s as u32) - group_sum;
-            for (end, nodes) in self.running_index.group_at(s) {
-                free += nodes;
-                if free >= need {
-                    return (end, free - need);
-                }
-            }
-        }
-        // Unreachable while the timeline mirrors the running set; defer
-        // to the oracle rather than guess.
-        self.reservation_for(need, now)
-    }
-
-    /// A deeper EASY-k reservation: the earliest timeline hole fitting
-    /// `need` nodes for `dur`, with the spare count taken against the
-    /// occupancy peak inside the window (so backfilling against this
-    /// reservation can never overdraw it).
-    fn hole_reservation(&self, need: u32, dur: Span, now: SimTime) -> (SimTime, u32) {
-        let avail = self.cluster.free_nodes() + self.running_index.total_held();
-        if avail < need {
-            return (SimTime(u64::MAX), 0);
-        }
-        let cap = i64::from(avail - need);
-        let tl = self.timeline.borrow();
-        match tl.slots.earliest_hole(now, cap, dur) {
-            Some(s) => {
-                let peak = tl.slots.max_in(s, s + dur);
-                (s, (cap - peak) as u32)
-            }
-            None => (SimTime(u64::MAX), 0),
-        }
-    }
-
     /// Marks a running job complete and frees its nodes.
     pub fn complete(&mut self, id: JobId, now: SimTime) {
         let Some(job) = self.jobs.get_mut(id) else {
@@ -1987,10 +1539,7 @@ impl Slurm {
             // fires first): keep the index consistent with the scan.
             self.pending_index.remove(&self.jobs[id]);
         }
-        if let Some((end, nodes)) = self.running_index.remove(id) {
-            self.tl_queue(end, nodes, false);
-            self.class_unplan(id, end);
-        }
+        self.running.finish(id);
         if let Some(Dependency::ExpandOf(parent)) = dep {
             self.resizer_index.resizer_terminal(parent, id);
         }
@@ -2039,12 +1588,7 @@ impl Slurm {
         if was_pending {
             self.pending_index.remove(&self.jobs[id]);
         }
-        if was_running {
-            if let Some((end, nodes)) = self.running_index.remove(id) {
-                self.tl_queue(end, nodes, false);
-                self.class_unplan(id, end);
-            }
-        }
+        self.running.finish(id);
         if let Some(Dependency::ExpandOf(parent)) = dep {
             self.resizer_index.resizer_terminal(parent, id);
         }
@@ -2163,13 +1707,7 @@ impl Slurm {
             .transfer_all(rj.owner_tag(), original.owner_tag())
             .expect("detached nodes are still owned by the resizer tag");
         debug_assert_eq!(moved.len() as u32, delta);
-        let held = self.cluster.held_by(original.owner_tag());
-        if let Some((end, old_nodes)) = self.running_index.set_nodes(original, held) {
-            self.tl_queue(end, old_nodes, false);
-            self.tl_queue(end, held, true);
-            self.class_unplan(original, end);
-            self.class_plan(original, end);
-        }
+        self.running.resize(original, &self.cluster);
         if let Some(j) = self.jobs.get_mut(original) {
             j.requested_nodes = self.cluster.held_by(original.owner_tag());
             j.reconfigurations += 1;
@@ -2217,12 +1755,7 @@ impl Slurm {
             .release_tail(id.owner_tag(), current - to)
             .expect("running job owns its nodes");
         let _ = now;
-        if let Some((end, old_nodes)) = self.running_index.set_nodes(id, to) {
-            self.tl_queue(end, old_nodes, false);
-            self.tl_queue(end, to, true);
-            self.class_unplan(id, end);
-            self.class_plan(id, end);
-        }
+        self.running.resize(id, &self.cluster);
         if let Some(j) = self.jobs.get_mut(id) {
             j.requested_nodes = to;
             j.reconfigurations += 1;
@@ -2314,143 +1847,18 @@ impl Slurm {
                 }
             }
         }
-        let running: Vec<&Job> = self
+        let running: Vec<(JobId, SimTime)> = self
             .jobs
             .iter()
             .filter(|j| j.state == JobState::Running)
-            .collect();
-        if running.len() != self.running_index.len() {
-            return Err(format!(
-                "running index len {} != running jobs {}",
-                self.running_index.len(),
-                running.len()
-            ));
-        }
-        let mut scan: Vec<(SimTime, u32)> = running
-            .iter()
             .map(|j| {
                 (
+                    j.id,
                     j.expected_end().expect("running job has a start time"),
-                    self.cluster.held_by(j.id.owner_tag()),
                 )
             })
             .collect();
-        scan.sort();
-        let walked: Vec<(SimTime, u32)> = self.running_index.iter().collect();
-        if scan != walked {
-            return Err(format!("running index {walked:?} != scan {scan:?}"));
-        }
-        let held: u32 = scan.iter().map(|&(_, n)| n).sum();
-        if held != self.running_index.total_held() {
-            return Err(format!(
-                "held-total {} != scanned {held}",
-                self.running_index.total_held()
-            ));
-        }
-        // The slot-set timeline (deferred deltas flushed) must equal the
-        // running-jobs occupancy profile at every breakpoint of either
-        // step function: free-count conservation across plan / unplan /
-        // merge and resize re-planning.
-        let mut tl = self.timeline.borrow_mut();
-        tl.flush();
-        tl.slots.validate()?;
-        let horizon = tl.slots.horizon();
-        let expected_at = |t: SimTime| -> i64 {
-            scan.iter()
-                .filter(|&&(end, _)| end > t)
-                .map(|&(_, n)| i64::from(n))
-                .sum()
-        };
-        let mut probes: Vec<SimTime> = tl.slots.slots().iter().map(|&(b, _)| b).collect();
-        probes.extend(scan.iter().map(|&(end, _)| end.max(horizon)));
-        for p in probes {
-            let got = tl.slots.occupied_at(p);
-            let want = expected_at(p.max(horizon));
-            if got != want {
-                return Err(format!(
-                    "timeline occupancy {got} at {p:?} != running profile {want}"
-                ));
-            }
-        }
-        drop(tl);
-        if self.multi_class() {
-            // Per-class bookkeeping: the side map must mirror the actual
-            // per-class split of every running job's nodes, the held
-            // totals must sum the map, and each class timeline must
-            // equal its class's occupancy profile.
-            let nclasses = self.cluster.table().num_classes();
-            let mut want_held = vec![0u32; nclasses];
-            for j in running.iter() {
-                let counts = self.cluster.held_class_counts(j.id.owner_tag());
-                let recorded = self
-                    .class_counts
-                    .get(&j.id)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0; nclasses]);
-                if counts != recorded {
-                    return Err(format!(
-                        "class counts of {:?}: recorded {recorded:?} != held {counts:?}",
-                        j.id
-                    ));
-                }
-                for (c, &n) in counts.iter().enumerate() {
-                    want_held[c] += n;
-                }
-            }
-            if self.class_counts.len() != running.len() {
-                return Err(format!(
-                    "class-count map holds {} jobs != {} running",
-                    self.class_counts.len(),
-                    running.len()
-                ));
-            }
-            if want_held != self.class_held {
-                return Err(format!(
-                    "class held {:?} != scanned {want_held:?}",
-                    self.class_held
-                ));
-            }
-            // Dormant class timelines are empty by design (they rebuild on
-            // activation), so their occupancy is only checkable once live.
-            let mut tls = if self.class_tl_live {
-                self.class_timelines.borrow_mut()
-            } else {
-                return Ok(());
-            };
-            for (c, tl) in tls.iter_mut().enumerate() {
-                tl.flush();
-                tl.slots.validate()?;
-                let horizon = tl.slots.horizon();
-                let class_scan: Vec<(SimTime, u32)> = running
-                    .iter()
-                    .map(|j| {
-                        (
-                            j.expected_end().expect("running job has a start time"),
-                            self.class_counts.get(&j.id).map_or(0, |v| v[c]),
-                        )
-                    })
-                    .collect();
-                let expected_at = |t: SimTime| -> i64 {
-                    class_scan
-                        .iter()
-                        .filter(|&&(end, _)| end > t)
-                        .map(|&(_, n)| i64::from(n))
-                        .sum()
-                };
-                let mut probes: Vec<SimTime> = tl.slots.slots().iter().map(|&(b, _)| b).collect();
-                probes.extend(class_scan.iter().map(|&(end, _)| end.max(horizon)));
-                for p in probes {
-                    let got = tl.slots.occupied_at(p);
-                    let want = expected_at(p.max(horizon));
-                    if got != want {
-                        return Err(format!(
-                            "class {c} timeline occupancy {got} at {p:?} != profile {want}"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.running.check(&self.cluster, &running)
     }
 }
 
@@ -2844,7 +2252,7 @@ mod tests {
         assert_eq!(started[0].id, resizer);
         s.finish_expand(resizer, t(20)).unwrap();
         s.check_invariants().unwrap();
-        // Shrink re-keys the running index.
+        // Shrink re-keys the running commitment.
         s.shrink_protocol(a, 2, t(30)).unwrap();
         s.check_invariants().unwrap();
         s.complete(a, t(40));
@@ -2864,8 +2272,8 @@ mod tests {
         );
         s.schedule(t(0));
         s.check_invariants().unwrap();
-        // Swap the estimates: the running index must re-key both entries
-        // (check_invariants compares it against a fresh scan).
+        // Swap the estimates: the commitments must re-key both entries
+        // (check_invariants compares them against a fresh scan).
         s.set_expected_runtime(long, Span::from_secs(50));
         s.set_expected_runtime(short, Span::from_secs(2000));
         s.check_invariants().unwrap();
@@ -3280,6 +2688,65 @@ mod tests {
         assert_eq!(started.iter().map(|j| j.id).collect::<Vec<_>>(), vec![tail]);
         assert_eq!(on.job(head).unwrap().state, JobState::Pending);
         assert_eq!(off.incremental_stats().backfill_passes_elided, 0);
+    }
+
+    /// On a three-class machine, unconstrained submits, both backfill
+    /// families, an expansion, an estimate refresh and a shrink never
+    /// touch the per-class timelines: nothing is queued or planned on
+    /// them. The first class-constrained submission brings them live,
+    /// rebuilt from the running commitments, and the invariants hold.
+    #[test]
+    fn unconstrained_work_keeps_class_planning_dormant() {
+        use dmr_cluster::{ClassTable, MachineClass};
+        let mut gpu = MachineClass::standard(8);
+        gpu.gpu = true;
+        let table = ClassTable::new(&[
+            (MachineClass::standard(8), 4),
+            (MachineClass::standard(8), 3),
+            (gpu, 3),
+        ]);
+        let mut s = Slurm::new(Cluster::with_classes(table), SlurmConfig::for_cluster(10));
+        let dormant = |s: &Slurm| {
+            assert!(s.running.classes_dormant(), "class timelines touched");
+            s.check_invariants().unwrap();
+        };
+        let rigid = |name: &str, nodes: u32, secs: u64| {
+            JobRequest::rigid(name, nodes).with_expected_runtime(Span::from_secs(secs))
+        };
+        // `a` spans classes 0 and 1, `b` classes 1 and 2.
+        let a = s.submit(rigid("a", 5, 500), t(0));
+        let b = s.submit(rigid("b", 3, 300), t(0));
+        assert_eq!(s.schedule(t(0)).len(), 2);
+        dormant(&s);
+        let _big = s.submit(rigid("big", 9, 100), t(1));
+        let tiny = s.submit(rigid("tiny", 1, 10), t(2));
+        assert_eq!(s.backfill_pass(t(3)).len(), 1, "tiny backfills");
+        dormant(&s);
+        s.config.backfill_family = BackfillFamily::Conservative;
+        s.backfill_pass(t(4));
+        dormant(&s);
+        s.complete(tiny, t(8));
+        s.expand_protocol(a, 7, t(10)).unwrap();
+        dormant(&s);
+        s.set_expected_runtime(b, Span::from_secs(400));
+        dormant(&s);
+        s.shrink_protocol(a, 2, t(20)).unwrap();
+        s.backfill_pass(t(25));
+        s.config.backfill_family = BackfillFamily::easy(2);
+        s.backfill_pass(t(26));
+        dormant(&s);
+        assert!(!s.running.classes_live());
+        s.submit(
+            rigid("gpu", 1, 50).with_constraint(ClassConstraint::GpuRequired),
+            t(30),
+        );
+        assert!(
+            s.running.classes_live(),
+            "a constrained job brings them live"
+        );
+        s.check_invariants().unwrap();
+        s.backfill_pass(t(31));
+        s.check_invariants().unwrap();
     }
 
     /// Same-instant duplicate reap scans are skipped under incremental

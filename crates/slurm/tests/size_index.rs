@@ -5,15 +5,20 @@
 //! buckets and a min-key segment tree while the index order is exact.
 //! Random sequences of submissions (class-constrained and wider than the
 //! machine included), scheduling passes, boosts, cancellations, kill and
-//! requeue, completions, resize decisions and expansions that leave
-//! resizers pending drive the scheduler; after every step the query must
-//! equal the walk for every range, and `check_invariants` (which checks
-//! every pending non-resizer job sits in its own bucket and the tree
-//! agrees with the bucket heads) must hold.
+//! requeue, completions, resize decisions, expansions (finished at once,
+//! or leaving resizers pending that are finished once started), shrinks
+//! and estimate refreshes drive the scheduler on a three-class machine;
+//! after every step the query must equal the walk for every range, and
+//! `check_invariants` must hold. Besides the size buckets (every pending
+//! non-resizer job in its own bucket, the tree agreeing with the bucket
+//! heads), that covers the running commitments after each of the six
+//! mutation sites that change them — start, completion, cancellation,
+//! estimate refresh, expansion and shrink — with the per-class timelines
+//! both dormant and live.
 
 use dmr_cluster::{ClassConstraint, ClassTable, Cluster, MachineClass};
-use dmr_sim::SimTime;
-use dmr_slurm::{JobId, JobRequest, JobState, ResizeEnvelope, Slurm, SlurmConfig};
+use dmr_sim::{SimTime, Span};
+use dmr_slurm::{Dependency, JobId, JobRequest, JobState, ResizeEnvelope, Slurm, SlurmConfig};
 use proptest::prelude::*;
 
 fn three_class_cluster(standard: u32, big: u32, gpu: u32) -> Cluster {
@@ -56,7 +61,7 @@ proptest! {
         standard in 2u32..12,
         big in 1u32..8,
         gpu in 1u32..6,
-        ops in proptest::collection::vec((0u32..9, 0u32..64, 1u32..30), 1..60),
+        ops in proptest::collection::vec((0u32..11, 0u32..64, 1u32..30), 1..60),
     ) {
         let cluster = three_class_cluster(standard, big, gpu);
         let total = cluster.total_nodes();
@@ -104,11 +109,20 @@ proptest! {
                 }
                 6 => {
                     // Expansions that cannot start leave a boosted
-                    // resizer pending (it must stay out of the buckets).
+                    // resizer pending (it must stay out of the buckets);
+                    // one that started since finishes its expansion
+                    // while its parent still runs.
                     if let Some(id) = pick(&jobs_in(&s, JobState::Running), sel) {
-                        if s.job(id).is_some_and(|j| !j.is_resizer()) {
-                            let to = s.nodes_of(id) + n % 8 + 1;
-                            let _ = s.expand_protocol(id, to, now);
+                        match s.job(id).and_then(|j| j.dependency) {
+                            Some(Dependency::ExpandOf(parent)) => {
+                                if s.job(parent).is_some_and(|p| p.state == JobState::Running) {
+                                    s.finish_expand(id, now).expect("started resizer");
+                                }
+                            }
+                            None => {
+                                let to = s.nodes_of(id) + n % 8 + 1;
+                                let _ = s.expand_protocol(id, to, now);
+                            }
                         }
                     }
                 }
@@ -117,11 +131,25 @@ proptest! {
                         s.decide_resize(id, now);
                     }
                 }
-                _ => {
+                8 => {
                     if let Some(id) = pick(&jobs_in(&s, JobState::Running), sel) {
                         if s.job(id).is_some_and(|j| !j.is_resizer()) {
                             s.complete(id, now);
                         }
+                    }
+                }
+                9 => {
+                    if let Some(id) = pick(&jobs_in(&s, JobState::Running), sel) {
+                        let held = s.nodes_of(id);
+                        if held > 1 && s.job(id).is_some_and(|j| !j.is_resizer()) {
+                            let to = 1 + n % (held - 1);
+                            s.shrink_protocol(id, to, now).expect("valid shrink");
+                        }
+                    }
+                }
+                _ => {
+                    if let Some(id) = pick(&jobs_in(&s, JobState::Running), sel) {
+                        s.set_expected_runtime(id, Span::from_secs(u64::from(n) * 97));
                     }
                 }
             }

@@ -17,10 +17,13 @@
 //! [`ExperimentConfig::hole_guard`] must be invisible to Algorithm 1
 //! (which never consults the timeline before growing), and the per-class
 //! free-set allocator must agree with a brute-force model under
-//! randomized allocate/release/power sequences that cross class
-//! boundaries.
+//! randomized allocate/release/power/fail/repair/drain sequences that
+//! cross class boundaries. That model is the reference for node
+//! selection: the production cluster has no scan mode of its own.
 
-use dmr::cluster::{ClassConstraint, ClassTable, Cluster, MachineClass, NodeState};
+use dmr::cluster::{
+    ClassConstraint, ClassTable, Cluster, FailOutcome, MachineClass, NodeId, NodeState,
+};
 use dmr::core::{
     run_experiment_streaming, ExperimentConfig, ExperimentResult, MachineMix, PolicyKind,
 };
@@ -148,11 +151,12 @@ fn hole_guard_flag_is_invisible_to_algorithm1() {
 }
 
 /// A brute-force model of the per-class allocator: each node carries its
-/// class, owner and power state; every query is answered by a full scan.
+/// class, owner and state; every query is answered by a full scan. It is
+/// the reference for the production node selection.
 struct ModelCluster {
     class_of: Vec<usize>,
     owner: Vec<Option<u64>>,
-    off: Vec<bool>,
+    state: Vec<NodeState>,
 }
 
 impl ModelCluster {
@@ -164,18 +168,26 @@ impl ModelCluster {
         ModelCluster {
             class_of,
             owner: vec![None; n],
-            off: vec![false; n],
+            state: vec![NodeState::Up; n],
         }
     }
 
-    fn free_in(&self, table: &ClassTable, constraint: ClassConstraint) -> u32 {
+    /// Unowned and `Up`: the only nodes a grant may take.
+    fn placeable(&self, i: usize) -> bool {
+        self.owner[i].is_none() && self.state[i] == NodeState::Up
+    }
+
+    fn eligible(&self, table: &ClassTable, constraint: ClassConstraint) -> Vec<usize> {
         (0..self.owner.len())
-            .filter(|&n| {
-                self.owner[n].is_none()
-                    && !self.off[n]
-                    && constraint.allows(self.class_of[n], table.class(self.class_of[n]))
+            .filter(|&i| {
+                self.placeable(i)
+                    && constraint.allows(self.class_of[i], table.class(self.class_of[i]))
             })
-            .count() as u32
+            .collect()
+    }
+
+    fn free_in(&self, table: &ClassTable, constraint: ClassConstraint) -> u32 {
+        self.eligible(table, constraint).len() as u32
     }
 
     /// Lowest-id-first allocation within the eligible classes — the
@@ -187,17 +199,14 @@ impl ModelCluster {
         owner: u64,
         constraint: ClassConstraint,
     ) -> Option<Vec<u32>> {
-        if self.free_in(table, constraint) < n {
+        let eligible = self.eligible(table, constraint);
+        if (eligible.len() as u32) < n {
             return None;
         }
-        let picked: Vec<u32> = (0..self.owner.len())
-            .filter(|&i| {
-                self.owner[i].is_none()
-                    && !self.off[i]
-                    && constraint.allows(self.class_of[i], table.class(self.class_of[i]))
-            })
+        let picked: Vec<u32> = eligible
+            .iter()
             .take(n as usize)
-            .map(|i| i as u32)
+            .map(|&i| i as u32)
             .collect();
         for &i in &picked {
             self.owner[i as usize] = Some(owner);
@@ -222,24 +231,53 @@ impl ModelCluster {
         }
     }
 
-    /// Highest-id-first suspension of free nodes — the production
+    /// Highest-id-first suspension of placeable nodes — the production
     /// power-down order.
     fn power_down(&mut self, n: u32) -> u32 {
         let free: Vec<usize> = (0..self.owner.len())
-            .filter(|&i| self.owner[i].is_none() && !self.off[i])
+            .filter(|&i| self.placeable(i))
             .collect();
         let mut downed = 0;
         for &i in free.iter().rev().take(n as usize) {
-            self.off[i] = true;
+            self.state[i] = NodeState::Off;
             downed += 1;
         }
         downed
     }
 
     fn wake_all(&mut self) -> u32 {
-        let woke = self.off.iter().filter(|&&o| o).count() as u32;
-        self.off.iter_mut().for_each(|o| *o = false);
+        let mut woke = 0;
+        for s in &mut self.state {
+            if *s == NodeState::Off {
+                *s = NodeState::Up;
+                woke += 1;
+            }
+        }
         woke
+    }
+
+    /// Only an `Up` node fails; an owned one keeps its owner.
+    fn fail_node(&mut self, i: usize) -> FailOutcome {
+        if self.state[i] != NodeState::Up {
+            return FailOutcome::Skipped;
+        }
+        self.state[i] = NodeState::Down;
+        self.owner[i].map_or(FailOutcome::Idle, FailOutcome::Busy)
+    }
+
+    /// Only a `Down` node is repaired; it is placeable again if unowned.
+    fn repair_node(&mut self, i: usize) -> bool {
+        if self.state[i] != NodeState::Down {
+            return false;
+        }
+        self.state[i] = NodeState::Up;
+        self.owner[i].is_none()
+    }
+
+    /// An administrative state change, also overriding a powered-down
+    /// node.
+    fn set_state(&mut self, i: usize, state: NodeState) {
+        self.state[i] = state;
     }
 }
 
@@ -263,25 +301,30 @@ fn constraint_for(sel: u8) -> ClassConstraint {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Randomized allocate/release/power sequences over a three-class
-    /// machine: the per-class free-set cluster must agree with the
-    /// brute-force model on every allocation (the exact node ids, not
-    /// just the count), on every per-class free count, and keep its
-    /// internal invariants after every operation.
+    /// Randomized allocate / release / power / fail / repair / drain
+    /// sequences over a three-class machine: the per-class free-set
+    /// cluster must agree with the brute-force model on every allocation
+    /// (the exact node ids, not just the count), every failure outcome
+    /// and repair result, every per-class free count, and keep its
+    /// internal invariants after every operation. Failed and drained
+    /// nodes, owned or not, and constrained grants around them are the
+    /// cases node selection must get right.
     #[test]
     fn per_class_free_sets_match_the_brute_force_model(
         standard in 1u32..12,
         big in 1u32..8,
         gpu in 1u32..6,
-        ops in proptest::collection::vec((0u8..5, 0u8..16, 1u32..10), 1..40),
+        ops in proptest::collection::vec((0u8..8, 0u8..16, 1u32..10), 1..40),
     ) {
         let table = three_class_table(standard, big, gpu);
         let mut cluster = Cluster::with_classes(table.clone());
         let mut model = ModelCluster::new(&table);
+        let total = table.total_nodes();
         let mut next_owner = 1u64;
         let mut live: Vec<u64> = Vec::new();
 
         for (op, sel, n) in ops {
+            let node = (u32::from(sel) * 10 + n) % total;
             match op {
                 0 => {
                     let constraint = constraint_for(sel);
@@ -319,8 +362,29 @@ proptest! {
                     let downed = cluster.power_down(n).len() as u32;
                     prop_assert_eq!(downed, model.power_down(n), "power_down diverged");
                 }
-                _ => {
+                4 => {
                     prop_assert_eq!(cluster.wake_all(), model.wake_all(), "wake_all diverged");
+                }
+                5 => {
+                    prop_assert_eq!(
+                        cluster.fail_node(NodeId(node)),
+                        model.fail_node(node as usize),
+                        "fail_node(n{}) diverged",
+                        node
+                    );
+                }
+                6 => {
+                    prop_assert_eq!(
+                        cluster.repair_node(NodeId(node)),
+                        model.repair_node(node as usize),
+                        "repair_node(n{}) diverged",
+                        node
+                    );
+                }
+                _ => {
+                    let state = if sel % 2 == 0 { NodeState::Drained } else { NodeState::Up };
+                    cluster.set_state(NodeId(node), state);
+                    model.set_state(node as usize, state);
                 }
             }
             for constraint in [

@@ -4,14 +4,18 @@
 //! PR "index the scheduler hot path" replaced every per-pass scan with an
 //! incremental structure: the pending queue became an ordered index keyed
 //! by `(boosted, submit, seq)` (exact because the multifactor age term
-//! grows uniformly), backfill reservations walk a running-jobs end-time
-//! index, dead resizers are reaped through a reverse-dependency map, and
-//! node selection takes the lowest run of a sorted free set. The arena
+//! grows uniformly), backfill reservations walk the running commitments
+//! in end-time order (the `timeline` module), dead resizers are reaped
+//! through a reverse-dependency map, and node selection takes the lowest
+//! run of a sorted free set. The arena
 //! path (the production default) adds slab job storage keyed by
 //! generation-checked dense ids, a cursor walk of the pending index, and
-//! same-instant scheduling-pass batching in the driver. The old
-//! implementations survive behind [`dmr::slurm::SchedIndex::ScanReference`]
-//! as the oracle; this suite drives *full experiments* — every workload
+//! same-instant scheduling-pass batching in the driver. The old scans of
+//! the pending order, the reservation order and the resizer reap survive
+//! behind [`dmr::slurm::SchedIndex::ScanReference`] as the oracle (node
+//! selection is checked against the brute-force model in
+//! `tests/class_equivalence.rs` instead); this suite drives *full
+//! experiments* — every workload
 //! family × every resize policy × fixed/flexible × sync/async — through
 //! both paths, and the arena path with incremental scheduling off, and
 //! requires bit-identical results, down to the raw f64 bits of every
